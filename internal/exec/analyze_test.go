@@ -2,12 +2,12 @@ package exec
 
 import (
 	"os"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"emptyheaded/internal/datalog"
+	"emptyheaded/internal/gate"
 	"emptyheaded/internal/trace"
 )
 
@@ -183,8 +183,7 @@ func TestAnalyzeOverheadGate(t *testing.T) {
 		{"triangle", `TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`, 3000, 60000, 25},
 		{"path2", `P(x,z) :- Edge(x,y),Edge(y,z).`, 1000, 15000, 15},
 	} {
-		g := testGraph(tc.n, tc.m, 17)
-		db := dbWithGraph(g)
+		db := dbWithGraph(testGraph(tc.n, tc.m, 17))
 		prog, err := datalog.Parse(tc.q)
 		if err != nil {
 			t.Fatal(err)
@@ -203,32 +202,14 @@ func TestAnalyzeOverheadGate(t *testing.T) {
 		}
 		run(false) // warm lazily built indexes
 		run(true)
-		measure := func() (off, on time.Duration) {
-			offs := make([]time.Duration, 0, tc.rounds)
-			ons := make([]time.Duration, 0, tc.rounds)
-			for i := 0; i < tc.rounds; i++ {
-				offs = append(offs, run(false))
-				ons = append(ons, run(true))
-			}
-			sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-			sort.Slice(ons, func(i, j int) bool { return ons[i] < ons[j] })
-			return offs[0], ons[0]
+		g := gate.Timing{
+			Rounds:   tc.rounds,
+			Attempts: 3,
+			Base:     func() time.Duration { return run(false) },
+			Cand:     func() time.Duration { return run(true) },
+			Logf:     func(f string, args ...any) { t.Logf(tc.name+" "+f, args...) },
 		}
-		// Shared single-core CI boxes jitter by several percent; a true
-		// regression shows in every attempt, noise does not.
-		best := 1e9
-		for attempt := 0; attempt < 3; attempt++ {
-			off, on := measure()
-			overhead := float64(on-off) / float64(off)
-			t.Logf("%s attempt %d: off=%v on=%v overhead=%.2f%%", tc.name, attempt, off, on, overhead*100)
-			if overhead < best {
-				best = overhead
-			}
-			if best <= 0.03 {
-				break
-			}
-		}
-		if best > 0.03 {
+		if best := g.Overhead(0.03); best > 0.03 {
 			t.Errorf("%s: analyze instrumentation overhead %.2f%% exceeds 3%% in all attempts",
 				tc.name, best*100)
 		}

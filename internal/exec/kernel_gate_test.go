@@ -2,11 +2,11 @@ package exec
 
 import (
 	"os"
-	"sort"
 	"testing"
 	"time"
 
 	"emptyheaded/internal/datalog"
+	"emptyheaded/internal/gate"
 	"emptyheaded/internal/gen"
 	"emptyheaded/internal/set"
 )
@@ -105,30 +105,16 @@ func TestKernelSpeedupGate(t *testing.T) {
 				t.Logf("%s: %d word-parallel dispatches", tc.name, wp)
 			}
 
-			measure := func() float64 {
-				sc := make([]time.Duration, 0, tc.rounds)
-				ad := make([]time.Duration, 0, tc.rounds)
-				for i := 0; i < tc.rounds; i++ {
-					d, _ := run(scalar)
-					sc = append(sc, d)
-					d, _ = run(adaptive)
-					ad = append(ad, d)
-				}
-				sort.Slice(sc, func(i, j int) bool { return sc[i] < sc[j] })
-				sort.Slice(ad, func(i, j int) bool { return ad[i] < ad[j] })
-				return float64(sc[0]) / float64(ad[0])
-			}
 			// Interleaved min-of-rounds; best of 3 attempts rides out CI
 			// noise — a real regression fails every attempt.
-			best := 0.0
-			for attempt := 0; attempt < 3; attempt++ {
-				if r := measure(); r > best {
-					best = r
-				}
-				if best >= 1.3 {
-					break
-				}
+			g := gate.Timing{
+				Rounds:   tc.rounds,
+				Attempts: 3,
+				Base:     func() time.Duration { d, _ := run(scalar); return d },
+				Cand:     func() time.Duration { d, _ := run(adaptive); return d },
+				Logf:     t.Logf,
 			}
+			best := g.Speedup(1.3)
 			t.Logf("%s: adaptive speedup %.2fx over scalar merge", tc.name, best)
 			if best < 1.3 {
 				t.Fatalf("%s: adaptive kernels %.2fx over scalar baseline, want ≥1.3x", tc.name, best)

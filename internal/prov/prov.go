@@ -11,14 +11,14 @@
 // same sequence every replica must agree on (see docs/PROVENANCE.md).
 //
 // The package is deliberately engine-agnostic: the serving layer builds
-// Records at result time, retains them in a Ring keyed by trace id, and
-// feeds pairs to Diff to answer "why did this result change?".
+// Records at result time, files each on its request's trace (one record
+// per request, in the trace ring), and feeds pairs to Diff to answer
+// "why did this result change?".
 package prov
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -42,8 +42,8 @@ type RelLineage struct {
 
 // Record is the determination-provenance record of one query result.
 type Record struct {
-	// TraceID links the record to its query-lifecycle trace (and through
-	// it to the workload registry); the Ring indexes on it.
+	// TraceID names the query-lifecycle trace the record is filed on
+	// (and through it links the workload registry).
 	TraceID uint64 `json:"trace_id"`
 	// Fingerprint is the normalized plan fingerprint of the query.
 	Fingerprint string `json:"fingerprint"`
@@ -63,8 +63,8 @@ type Record struct {
 	Relations []RelLineage `json:"relations"`
 }
 
-// Clone returns a deep copy of r (rings hand out aliases; consumers that
-// mutate — e.g. to mark a cache hit — copy first).
+// Clone returns a deep copy of r (records are shared once filed;
+// consumers that mutate — e.g. to mark a cache hit — copy first).
 func (r *Record) Clone() *Record {
 	if r == nil {
 		return nil
@@ -72,96 +72,6 @@ func (r *Record) Clone() *Record {
 	out := *r
 	out.Relations = append([]RelLineage(nil), r.Relations...)
 	return &out
-}
-
-// Ring retains the most recent provenance records in a bounded buffer
-// with O(1) lookup by trace id. All methods are safe for concurrent use
-// and degrade to no-ops on a nil receiver.
-type Ring struct {
-	mu      sync.Mutex
-	buf     []*Record
-	next    int
-	total   uint64
-	byTrace map[uint64]*Record
-}
-
-// NewRing returns a ring retaining the last n records; n <= 0 yields a
-// nil (disabled) ring.
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		return nil
-	}
-	return &Ring{buf: make([]*Record, n), byTrace: make(map[uint64]*Record, n)}
-}
-
-// Add retains rec, evicting the oldest record once the ring is full.
-func (g *Ring) Add(rec *Record) {
-	if g == nil || rec == nil {
-		return
-	}
-	g.mu.Lock()
-	if old := g.buf[g.next]; old != nil && g.byTrace[old.TraceID] == old {
-		delete(g.byTrace, old.TraceID)
-	}
-	g.buf[g.next] = rec
-	if rec.TraceID != 0 {
-		g.byTrace[rec.TraceID] = rec
-	}
-	g.next = (g.next + 1) % len(g.buf)
-	g.total++
-	g.mu.Unlock()
-}
-
-// Get returns the retained record for a trace id.
-func (g *Ring) Get(traceID uint64) (*Record, bool) {
-	if g == nil {
-		return nil, false
-	}
-	g.mu.Lock()
-	rec, ok := g.byTrace[traceID]
-	g.mu.Unlock()
-	return rec, ok
-}
-
-// Recent returns up to max retained records, newest first.
-func (g *Ring) Recent(max int) []*Record {
-	if g == nil || max <= 0 {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]*Record, 0, max)
-	for i := 1; i <= len(g.buf) && len(out) < max; i++ {
-		rec := g.buf[(g.next-i+len(g.buf))%len(g.buf)]
-		if rec == nil {
-			break
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// Stats reports the ring's occupancy.
-type Stats struct {
-	Capacity int    `json:"capacity"`
-	Retained int    `json:"retained"`
-	Total    uint64 `json:"total"`
-}
-
-// StatsSnapshot returns point-in-time occupancy counters.
-func (g *Ring) StatsSnapshot() Stats {
-	if g == nil {
-		return Stats{}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	retained := 0
-	for _, rec := range g.buf {
-		if rec != nil {
-			retained++
-		}
-	}
-	return Stats{Capacity: len(g.buf), Retained: retained, Total: g.total}
 }
 
 // RelDrift reports one relation whose lineage differs between two

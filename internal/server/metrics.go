@@ -200,13 +200,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Determination provenance: ring occupancy and the result-cache
-	// self-auditor's counters. eh_audit_mismatch_total is the alerting
+	// Determination provenance: the trace ring's record occupancy and
+	// the result-cache self-auditor's counters. eh_audit_mismatch_total is the alerting
 	// signal — any nonzero value means the cache served bytes the current
 	// data no longer determines.
 	pv := st.Provenance
-	gauge("eh_provenance_ring_records", "Provenance records currently retained in the ring.", float64(pv.Ring.Retained))
-	gauge("eh_provenance_ring_capacity", "Provenance ring capacity (0 = provenance disabled).", float64(pv.Ring.Capacity))
+	gauge("eh_provenance_ring_records", "Retained request traces that carry a provenance record.", float64(pv.Ring.Retained))
+	gauge("eh_provenance_ring_capacity", "Trace ring capacity, shared by traces and their provenance records.", float64(pv.Ring.Capacity))
 	counterHeader("eh_provenance_records_total", "Provenance records built since boot (executions + cached serves).")
 	fmt.Fprintf(&sb, "eh_provenance_records_total %d\n", pv.Ring.Total)
 	counterHeader("eh_audit_checks_total", "Result-cache audit re-executions (sampled + on-demand sweeps).")

@@ -9,7 +9,6 @@ import (
 	"emptyheaded/internal/exec"
 	"emptyheaded/internal/metrics"
 	"emptyheaded/internal/obs"
-	"emptyheaded/internal/prov"
 	"emptyheaded/internal/trace"
 )
 
@@ -20,11 +19,10 @@ import (
 var queryPhases = []string{"admission", "plan", "execute", "render", "cache_fill"}
 
 // observability bundles the server's latency histograms and the
-// unified structured event log (which absorbed the PR 6 slow-query
-// log: slow requests are now slow_query events alongside rotations,
-// compactions, breaker transitions and panics, in one sequenced
-// stream). Histograms are fixed-bucket and lock-free on Observe; the
-// event log serializes line writes under its own mutex.
+// unified structured event log (slow requests are slow_query events
+// alongside rotations, compactions, breaker transitions and panics, in
+// one sequenced stream). Histograms are fixed-bucket and lock-free on
+// Observe; the event log serializes line writes under its own mutex.
 type observability struct {
 	query    *metrics.Histogram
 	phases   map[string]*metrics.Histogram
@@ -47,12 +45,6 @@ func newObservability(cfg Config) *observability {
 		compact:       metrics.NewHistogram(metrics.LatencyBuckets),
 		slowThreshold: cfg.SlowQueryThreshold,
 		events:        cfg.Events,
-	}
-	if o.events == nil {
-		// Back-compat: a configured slow-query writer becomes the event
-		// sink, so existing deployments keep their JSON lines (now with
-		// the seq/kind envelope) in the same place.
-		o.events = obs.NewEventLog(cfg.SlowQueryLog)
 	}
 	for _, p := range queryPhases {
 		o.phases[p] = metrics.NewHistogram(metrics.LatencyBuckets)
@@ -189,7 +181,8 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDebugTrace serves one full trace (GET /debug/trace/<id>): every
-// span with offsets, durations and attributes.
+// span with offsets, durations and attributes, plus the query's
+// provenance record.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	idStr := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
 	id, err := strconv.ParseUint(idStr, 10, 64)
@@ -202,13 +195,5 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, &httpError{http.StatusNotFound, "trace not retained (ring buffer wrapped or id never finished)"})
 		return
 	}
-	// The embedded struct keeps the JSON flat (same shape as before);
-	// the provenance record rides along when the ring still retains one
-	// for this trace.
-	out := struct {
-		*trace.Trace
-		Provenance *prov.Record `json:"provenance,omitempty"`
-	}{Trace: tr}
-	out.Provenance, _ = s.prov.Get(id)
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, tr)
 }

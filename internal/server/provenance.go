@@ -16,10 +16,12 @@ import (
 // Determination provenance (see docs/PROVENANCE.md): every executed
 // query gets a prov.Record stamping the lineage that determined its
 // result — plan fingerprint, restore generation, and the per-relation
-// (epoch, overlay generation, WAL applied-seq watermark) triple. The
-// records feed three consumers: the /query response (opt-in via
-// "provenance": true), the /debug/provenance ring + /debug/diff
-// why-changed differ, and the result-cache self-auditor below.
+// (epoch, overlay generation, WAL applied-seq watermark) triple. Each
+// record is filed on its request's trace, so the trace ring is the one
+// store of per-request records. The records feed three consumers: the
+// /query response (opt-in via "provenance": true), /debug/provenance +
+// the /debug/diff why-changed differ, and the result-cache self-auditor
+// below.
 
 // auditCounters books the self-auditor's lifetime totals.
 type auditCounters struct {
@@ -43,15 +45,28 @@ type AuditStats struct {
 
 // ProvenanceStats is the provenance section of /stats.
 type ProvenanceStats struct {
-	Enabled bool       `json:"enabled"`
-	Ring    prov.Stats `json:"ring"`
-	Audit   AuditStats `json:"audit"`
+	Enabled bool          `json:"enabled"`
+	Ring    ProvRingStats `json:"ring"`
+	Audit   AuditStats    `json:"audit"`
+}
+
+// ProvRingStats is the trace ring's provenance occupancy: Capacity is
+// the ring's size, Retained the retained traces that carry a record,
+// Total the records built since boot.
+type ProvRingStats struct {
+	Capacity int    `json:"capacity"`
+	Retained int    `json:"retained"`
+	Total    uint64 `json:"total"`
 }
 
 func (s *Server) provenanceStats() ProvenanceStats {
+	var ring ProvRingStats
+	if s.rec != nil {
+		ring = ProvRingStats{Capacity: s.cfg.TraceRing, Retained: len(s.retainedProv()), Total: s.provRecords.Load()}
+	}
 	return ProvenanceStats{
-		Enabled: s.prov != nil,
-		Ring:    s.prov.StatsSnapshot(),
+		Enabled: s.rec != nil,
+		Ring:    ring,
 		Audit: AuditStats{
 			Sampled:    s.audit.sampled.Load(),
 			Checks:     s.audit.checks.Load(),
@@ -62,19 +77,16 @@ func (s *Server) provenanceStats() ProvenanceStats {
 	}
 }
 
-// noteProvenance builds, retains and logs the provenance record of one
+// noteProvenance builds, files and logs the provenance record of one
 // executed query. relEpochs/dictEpoch are the fork's epochs the
 // execution actually ran against; the overlay/watermark coordinates are
-// read from the engine's live lineage. Returns nil when provenance is
-// disabled.
+// read from the engine's live lineage. Returns nil when observability
+// is off.
 func (s *Server) noteProvenance(tr *trace.Trace, fp string, gen uint64, reads []string, relEpochs []uint64, dictEpoch uint64, cardinality int) *prov.Record {
-	if s.prov == nil {
+	if s.rec == nil {
 		return nil
 	}
-	var tid uint64
-	if tr != nil { // internal callers (crash drills) run without a trace
-		tid = tr.ID
-	}
+	tid := tr.TraceID() // 0 for internal callers (crash drills) without a trace
 	lin := s.eng.Lineage(reads)
 	rec := &prov.Record{
 		TraceID:     tid,
@@ -95,7 +107,8 @@ func (s *Server) noteProvenance(tr *trace.Trace, fp string, gen uint64, reads []
 			OverlayRows: p.OverlayRows,
 		}
 	}
-	s.prov.Add(rec)
+	tr.SetProvenance(rec)
+	s.provRecords.Add(1)
 	// Only executions emit: cached serves would repeat the same lineage
 	// per hit, and the hit itself is already visible in the trace.
 	s.obs.events.Emit("query_provenance", tid, map[string]any{
@@ -112,15 +125,37 @@ func (s *Server) noteProvenance(tr *trace.Trace, fp string, gen uint64, reads []
 // this request's trace id and Cached: true, so /debug/trace/<id> and
 // /debug/provenance/<id> resolve for hits too.
 func (s *Server) provOnServe(cr *cachedResult, tr *trace.Trace) *prov.Record {
-	if s.prov == nil || cr.prov == nil || tr == nil {
+	if cr.prov == nil || tr == nil {
 		return nil
 	}
 	rec := cr.prov.Clone()
 	rec.TraceID = tr.ID
 	rec.Cached = true
 	rec.At = time.Now()
-	s.prov.Add(rec)
+	tr.SetProvenance(rec)
+	s.provRecords.Add(1)
 	return rec
+}
+
+// retainedProv returns the provenance records of the retained traces,
+// newest first.
+func (s *Server) retainedProv() []*prov.Record {
+	var out []*prov.Record
+	for _, tr := range s.rec.Completed(0) {
+		if tr.Provenance != nil {
+			out = append(out, tr.Provenance)
+		}
+	}
+	return out
+}
+
+// provOf resolves a trace id to the provenance record filed on it.
+func (s *Server) provOf(id uint64) (*prov.Record, bool) {
+	tr, ok := s.rec.Get(id)
+	if !ok || tr.Provenance == nil {
+		return nil, false
+	}
+	return tr.Provenance, true
 }
 
 // maybeSampleAudit flips the AuditFraction coin on a cached serve and,
@@ -189,15 +224,13 @@ func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bo
 	}
 	// Attribute the drift: diff the entry's fill-time record against the
 	// re-execution's (same fingerprint by construction).
-	if cr.prov != nil {
-		if fresh, ok := s.prov.Get(tr.ID); ok {
-			if d, derr := prov.Diff(cr.prov, fresh); derr == nil {
-				fields["cardinality_delta"] = d.CardinalityDelta
-				fields["drifted"] = d.Drifted
-			}
+	if cr.prov != nil && tr.Provenance != nil {
+		if d, derr := prov.Diff(cr.prov, tr.Provenance); derr == nil {
+			fields["cardinality_delta"] = d.CardinalityDelta
+			fields["drifted"] = d.Drifted
 		}
 	}
-	s.obs.events.Emit("audit_mismatch", tr.ID, fields)
+	s.obs.events.Emit("audit_mismatch", tr.TraceID(), fields)
 	return true, nil
 }
 
@@ -247,11 +280,11 @@ func rowsEqual(a, b [][]int64) bool {
 	return true
 }
 
-// handleDebugProvenance serves the ring: /debug/provenance lists recent
-// records (?n=, default 50) with occupancy stats; /debug/provenance/<id>
-// resolves one trace id.
+// handleDebugProvenance serves the records the trace ring retains:
+// /debug/provenance lists recent ones (?n=, default 50) with occupancy
+// stats; /debug/provenance/<id> resolves one trace id.
 func (s *Server) handleDebugProvenance(w http.ResponseWriter, r *http.Request) {
-	if s.prov == nil {
+	if s.rec == nil {
 		s.writeErr(w, &httpError{http.StatusNotFound, "provenance disabled"})
 		return
 	}
@@ -266,9 +299,10 @@ func (s *Server) handleDebugProvenance(w http.ResponseWriter, r *http.Request) {
 			}
 			n = p
 		}
+		records := s.retainedProv()
 		writeJSON(w, http.StatusOK, map[string]any{
-			"stats":   s.prov.StatsSnapshot(),
-			"records": s.prov.Recent(n),
+			"stats":   s.provenanceStats().Ring,
+			"records": records[:min(n, len(records))],
 		})
 		return
 	}
@@ -277,7 +311,7 @@ func (s *Server) handleDebugProvenance(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, badRequest("bad trace id: %q", rest))
 		return
 	}
-	rec, ok := s.prov.Get(id)
+	rec, ok := s.provOf(id)
 	if !ok {
 		s.writeErr(w, &httpError{http.StatusNotFound, "no provenance record for trace " + rest})
 		return
@@ -289,7 +323,7 @@ func (s *Server) handleDebugProvenance(w http.ResponseWriter, r *http.Request) {
 // ids of the same fingerprint (?a=&?b=), it reports which relations'
 // lineage drifted between the executions.
 func (s *Server) handleDebugDiff(w http.ResponseWriter, r *http.Request) {
-	if s.prov == nil {
+	if s.rec == nil {
 		s.writeErr(w, &httpError{http.StatusNotFound, "provenance disabled"})
 		return
 	}
@@ -299,7 +333,7 @@ func (s *Server) handleDebugDiff(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, badRequest("bad %s: %q", name, v)
 		}
-		rec, ok := s.prov.Get(id)
+		rec, ok := s.provOf(id)
 		if !ok {
 			return nil, &httpError{http.StatusNotFound, "no provenance record for trace " + v}
 		}

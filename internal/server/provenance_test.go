@@ -6,16 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"emptyheaded/internal/core"
 	"emptyheaded/internal/fault"
-	"emptyheaded/internal/gen"
 	"emptyheaded/internal/obs"
 	"emptyheaded/internal/prov"
 )
@@ -68,6 +64,32 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 			qr2.Provenance.Relations[edgeIdx], rec.Relations[edgeIdx])
 	}
 
+	// Interleave update traces into the ring: provenance lookups and the
+	// differ must still resolve the query ids.
+	for i := uint32(0); i < 3; i++ {
+		if code, body := postJSON(t, ts.URL+"/update", UpdateRequest{
+			Name: "Edge", Inserts: [][]uint32{{300 + i, 400 + i}},
+		}, nil); code != http.StatusOK {
+			t.Fatalf("/update: %d %s", code, body)
+		}
+	}
+	for _, id := range []uint64{qr1.TraceID, qr2.TraceID} {
+		var got prov.Record
+		if code := getJSON(t, fmt.Sprintf("%s/debug/provenance/%d", ts.URL, id), &got); code != http.StatusOK || got.TraceID != id {
+			t.Fatalf("/debug/provenance/%d after updates: %d %+v", id, code, got)
+		}
+	}
+	var fillVsServe struct {
+		Diff prov.DiffReport `json:"diff"`
+	}
+	url := fmt.Sprintf("%s/debug/diff?a=%d&b=%d", ts.URL, qr1.TraceID, qr2.TraceID)
+	if code := getJSON(t, url, &fillVsServe); code != http.StatusOK {
+		t.Fatalf("/debug/diff after updates: %d", code)
+	}
+	if d := fillVsServe.Diff; d.FromTrace != qr1.TraceID || d.ToTrace != qr2.TraceID || len(d.Drifted) != 0 {
+		t.Fatalf("a cached serve must diff clean against its fill: %+v", d)
+	}
+
 	// A request without the flag executes with provenance recorded but
 	// not attached.
 	if qr := runQuery(t, ts.URL, pathQ); qr.Provenance != nil {
@@ -76,14 +98,19 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 
 	// Ring listing: both triangle records plus the path one.
 	var list struct {
-		Stats   prov.Stats     `json:"stats"`
+		Stats   ProvRingStats  `json:"stats"`
 		Records []*prov.Record `json:"records"`
 	}
 	if code := getJSON(t, ts.URL+"/debug/provenance", &list); code != http.StatusOK {
 		t.Fatalf("/debug/provenance: %d", code)
 	}
-	if list.Stats.Retained < 3 || len(list.Records) < 3 {
+	if list.Stats.Retained < 3 || len(list.Records) < 3 || list.Stats.Capacity != 256 {
 		t.Fatalf("ring: %+v (%d records)", list.Stats, len(list.Records))
+	}
+	for _, r := range list.Records { // update traces carry no record
+		if r == nil || r.Fingerprint == "" {
+			t.Fatalf("listing holds a non-query record: %+v", list.Records)
+		}
 	}
 
 	// Point lookup by trace id, and 404 for an unknown one.
@@ -151,8 +178,10 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 	}
 }
 
+// TestProvenanceDisabled: the all-off mode records no provenance and
+// its debug endpoints are absent.
 func TestProvenanceDisabled(t *testing.T) {
-	_, ts := newTestService(t, Config{DisableProvenance: true})
+	s, ts := newTestService(t, Config{observabilityOff: true})
 	qr := queryWithProv(t, ts.URL, triangleQ)
 	if qr.Provenance != nil {
 		t.Fatalf("disabled provenance still attached: %+v", qr.Provenance)
@@ -163,6 +192,9 @@ func TestProvenanceDisabled(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/debug/diff?a=1&b=2", &out); code != http.StatusNotFound {
 		t.Fatalf("/debug/diff while disabled: %d", code)
+	}
+	if st := s.StatsSnapshot(); st.Provenance.Enabled || st.Provenance.Ring != (ProvRingStats{}) {
+		t.Fatalf("disabled provenance stats: %+v", st.Provenance)
 	}
 }
 
@@ -353,96 +385,69 @@ func TestAuditSamplerRuns(t *testing.T) {
 	}
 }
 
-func benchServeProvenance(b *testing.B, disable bool) {
-	eng := core.New()
-	eng.Opts.Parallelism = 1
-	eng.LoadGraph("Edge", gen.PowerLaw(1000, 15000, 2.1, 17))
-	s := New(eng, Config{Workers: 1, DisableProvenance: disable})
-	defer s.Close()
-	h := s.Handler()
-	body, _ := json.Marshal(QueryRequest{Query: triangleQ, NoCache: true})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", w.Code, w.Body.String())
+// TestRecordRingConcurrentReads: queries (executions and cached serves)
+// and updates file records into the trace ring while the debug
+// endpoints and /stats read it. Run under -race.
+func TestRecordRingConcurrentReads(t *testing.T) {
+	s, ts := newTestService(t, Config{Workers: 4, QueueDepth: 256, QueueWait: time.Minute, TraceRing: 16})
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, path := range []string{"/debug/provenance?n=5", "/debug/trace/3", "/debug/provenance/3", "/debug/workload", "/stats"} {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Errorf("%s: %v", path, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
 		}
+	}()
+	var writers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			for i := 0; i < 10; i++ {
+				body, _ := json.Marshal(QueryRequest{Query: triangleQ, Provenance: true, NoCache: (g+i)%3 == 0})
+				if g == 0 && i%3 == 0 {
+					body, _ = json.Marshal(UpdateRequest{Name: "Edge", Inserts: [][]uint32{{uint32(500 + i), uint32(600 + i)}}})
+					resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Errorf("/update: %v", err)
+						return
+					}
+					resp.Body.Close()
+					continue
+				}
+				resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("/query: %v", err)
+					return
+				}
+				var qr QueryResponse
+				err = json.NewDecoder(resp.Body).Decode(&qr)
+				resp.Body.Close()
+				if err != nil || qr.Provenance == nil || qr.Provenance.TraceID != qr.TraceID {
+					t.Errorf("query %d/%d: %v %+v", g, i, err, qr.Provenance)
+					return
+				}
+			}
+		}(g)
 	}
-}
-
-func BenchmarkServeProvenanceOn(b *testing.B)  { benchServeProvenance(b, false) }
-func BenchmarkServeProvenanceOff(b *testing.B) { benchServeProvenance(b, true) }
-
-// TestProvenanceOverheadGate is this PR's CI gate: the serving path with
-// provenance recording on (the default) must cost < 3% over the
-// provenance-off path on triangle + 2-path. Env-gated so tier-1
-// `go test ./...` stays timing-free; methodology mirrors the workload
-// profiler's gate (interleaved runs, min-of-N, best of 5 attempts).
-func TestProvenanceOverheadGate(t *testing.T) {
-	if os.Getenv("EH_PROV_GATE") == "" {
-		t.Skip("set EH_PROV_GATE=1 to run the provenance overhead gate")
-	}
-	for _, tc := range []struct {
-		name, q string
-		rounds  int
-	}{
-		{"triangle", triangleQ, 25},
-		{"path2", pathQ, 15},
-	} {
-		newSrv := func(disable bool) (*Server, http.Handler) {
-			eng := core.New()
-			eng.Opts.Parallelism = 1
-			eng.LoadGraph("Edge", gen.PowerLaw(3000, 60000, 2.1, 17))
-			s := New(eng, Config{Workers: 1, DisableProvenance: disable})
-			return s, s.Handler()
-		}
-		sOn, hOn := newSrv(false)
-		sOff, hOff := newSrv(true)
-		defer sOn.Close()
-		defer sOff.Close()
-		body, _ := json.Marshal(QueryRequest{Query: tc.q, NoCache: true})
-		run := func(h http.Handler) time.Duration {
-			req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
-			w := httptest.NewRecorder()
-			start := time.Now()
-			h.ServeHTTP(w, req)
-			d := time.Since(start)
-			if w.Code != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", tc.name, w.Code, w.Body.String())
-			}
-			return d
-		}
-		run(hOff) // warm indexes + plan caches on both sides
-		run(hOn)
-		measure := func() (off, on time.Duration) {
-			offs := make([]time.Duration, 0, tc.rounds)
-			ons := make([]time.Duration, 0, tc.rounds)
-			for i := 0; i < tc.rounds; i++ {
-				offs = append(offs, run(hOff))
-				ons = append(ons, run(hOn))
-			}
-			sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-			sort.Slice(ons, func(i, j int) bool { return ons[i] < ons[j] })
-			return offs[0], ons[0]
-		}
-		best := 1e9
-		for attempt := 0; attempt < 5; attempt++ {
-			off, on := measure()
-			overhead := float64(on-off) / float64(off)
-			t.Logf("%s attempt %d: off=%v on=%v overhead=%.2f%%", tc.name, attempt, off, on, overhead*100)
-			if overhead < best {
-				best = overhead
-			}
-			if best <= 0.03 {
-				break
-			}
-		}
-		if best > 0.03 {
-			t.Errorf("%s: provenance overhead %.2f%% exceeds 3%% in all attempts",
-				tc.name, best*100)
-		}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if st := s.StatsSnapshot().Provenance.Ring; st.Capacity != 16 || st.Retained == 0 || st.Retained > 16 || st.Total < 30 {
+		t.Fatalf("ring stats after the run: %+v", st)
 	}
 }

@@ -72,15 +72,14 @@ type Config struct {
 	// auto-restores from on boot / snapshots to on SIGTERM). Empty means
 	// requests must name a directory explicitly.
 	DataDir string
-	// TraceRing is how many completed query/update traces /debug/queries
-	// retains (default 128).
+	// TraceRing is how many completed request traces the server retains
+	// (default 256). Each query's trace carries its provenance record, so
+	// this one ring backs /debug/queries, /debug/trace, /debug/provenance
+	// and /debug/diff.
 	TraceRing int
-	// SlowQueryThreshold: finished requests at or above it are written
-	// to SlowQueryLog as one JSON line each (0 disables the log).
+	// SlowQueryThreshold: finished requests at or above it emit a
+	// slow_query event (0 disables them).
 	SlowQueryThreshold time.Duration
-	// SlowQueryLog receives the slow-query JSON lines (default
-	// os.Stderr when SlowQueryThreshold is set).
-	SlowQueryLog io.Writer
 	// QueryDeadline bounds one /query request end to end — admission
 	// wait, plan, execute, and render all share the budget — via a
 	// context deadline that trips the loop nest's cooperative stop
@@ -100,30 +99,21 @@ type Config struct {
 	// obs.DefaultWorkloadCap; least-recently-observed fingerprints
 	// evict).
 	WorkloadCap int
-	// DisableWorkloadStats turns the workload profiler off: no
-	// fingerprint registry, no relation heat, and queries stop
-	// collecting kernel counters by default (Analyze requests still
-	// do). The zero value keeps it on — profiling is the default.
-	DisableWorkloadStats bool
 	// Events is the unified structured event log (slow queries, WAL
 	// rotations, compactions, snapshots, breaker transitions, panics,
-	// boot phases). Nil falls back to wrapping SlowQueryLog when that
-	// is set, else events are dropped.
+	// boot phases). Nil drops events.
 	Events *obs.EventLog
-	// ProvenanceRing is how many query provenance records
-	// /debug/provenance retains (default 256).
-	ProvenanceRing int
 	// AuditFraction is the probability that one result-cache serve
 	// triggers a background self-audit of the served entry (the entry's
 	// query re-executes uncached and the responses are compared; a
 	// mismatch evicts the entry and emits an audit_mismatch event). 0
 	// disables sampling — POST /debug/audit still sweeps on demand.
 	AuditFraction float64
-	// DisableProvenance turns determination provenance off: no records,
-	// no ring, no query_provenance events. The zero value keeps it on —
-	// provenance is the default (its cost is bounded by the <3% CI
-	// gate); the off switch exists for that gate's baseline.
-	DisableProvenance bool
+
+	// observabilityOff turns traces, provenance, the workload registry,
+	// relation heat and default kernel-counter collection off together.
+	// It exists only as the overhead gate's baseline.
+	observabilityOff bool
 }
 
 func (c Config) withDefaults() Config {
@@ -149,10 +139,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultLimit = 1000
 	}
 	if c.TraceRing <= 0 {
-		c.TraceRing = 128
-	}
-	if c.SlowQueryThreshold > 0 && c.SlowQueryLog == nil {
-		c.SlowQueryLog = os.Stderr
+		c.TraceRing = 256
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -162,9 +149,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerProbe <= 0 {
 		c.BreakerProbe = time.Second
-	}
-	if c.ProvenanceRing <= 0 {
-		c.ProvenanceRing = 256
 	}
 	return c
 }
@@ -179,8 +163,10 @@ type Server struct {
 	adm     *admission
 	start   time.Time
 
-	// rec retains completed request traces for the debug endpoints; obs
-	// owns the latency histograms and the slow-query log.
+	// rec retains completed request traces, each query's carrying its
+	// provenance record, for the debug endpoints; obs owns the latency
+	// histograms and the event log. rec is nil only when observability
+	// is off, and provenance with it.
 	rec *trace.Recorder
 	obs *observability
 
@@ -201,17 +187,14 @@ type Server struct {
 
 	// workload is the per-fingerprint aggregate registry behind
 	// /debug/workload; heat the per-relation counters behind
-	// /debug/relations. Both nil when Config.DisableWorkloadStats.
+	// /debug/relations. Both nil when observability is off.
 	workload *obs.Workload
 	heat     *obs.RelHeat
 
-	// prov retains recent determination-provenance records (one per
-	// served query: fingerprint + per-relation epoch/overlay/WAL-seq
-	// lineage) for /debug/provenance and /debug/diff; nil when
-	// Config.DisableProvenance. audit holds the result-cache
-	// self-auditor's counters.
-	prov  *prov.Ring
-	audit auditCounters
+	// provRecords counts provenance records built since boot; audit
+	// holds the result-cache self-auditor's counters.
+	provRecords atomic.Uint64
+	audit       auditCounters
 
 	endpoints map[string]*latencyWindow
 }
@@ -235,7 +218,6 @@ func New(eng *core.Engine, cfg Config) *Server {
 		results: newLRUCache(cfg.ResultCacheSize),
 		adm:     newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait),
 		start:   time.Now(),
-		rec:     trace.NewRecorder(cfg.TraceRing),
 		obs:     newObservability(cfg),
 		endpoints: map[string]*latencyWindow{
 			"/query":     newLatencyWindow(),
@@ -249,12 +231,10 @@ func New(eng *core.Engine, cfg Config) *Server {
 			"/stats":     newLatencyWindow(),
 		},
 	}
-	if !cfg.DisableWorkloadStats {
+	if !cfg.observabilityOff {
+		s.rec = trace.NewRecorder(cfg.TraceRing)
 		s.workload = obs.NewWorkload(cfg.WorkloadCap)
 		s.heat = obs.NewRelHeat()
-	}
-	if !cfg.DisableProvenance {
-		s.prov = prov.NewRing(cfg.ProvenanceRing)
 	}
 	s.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerProbe, eng.ProbeDurability)
 	// Breaker transitions land in the event log as paired breaker +
@@ -380,6 +360,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxBodyBytes bounds every request body. It is far above any real
+// query, update batch or inline /load; bulk loads beyond it belong in a
+// server-side file ("path") or a snapshot restore.
+const maxBodyBytes = 32 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// An oversized body returns the *http.MaxBytesError (errStatus maps it
+// to 413), any other decode failure a 400; allowEmpty accepts an empty
+// body as the zero request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, allowEmpty bool) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil, allowEmpty && errors.Is(err, io.EOF):
+		return nil
+	case errors.As(err, &tooLarge):
+		return fmt.Errorf("request body over %d bytes: %w", maxBodyBytes, err)
+	}
+	return badRequest("bad request body: %v", err)
+}
+
 // statusClientClosedRequest is the de-facto "client closed request"
 // status (nginx's 499): the client is gone, the code is for accounting.
 const statusClientClosedRequest = 499
@@ -389,9 +390,12 @@ const statusClientClosedRequest = 499
 // here exactly once.
 func (s *Server) errStatus(err error) int {
 	var he *httpError
+	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &he):
 		return he.code
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, errDegraded):
 		s.res.degradedRejected.Add(1)
 		return http.StatusServiceUnavailable
@@ -534,8 +538,8 @@ type QueryResponse struct {
 	// Analyze carries the EXPLAIN ANALYZE payload when requested.
 	Analyze *AnalyzeInfo `json:"analyze,omitempty"`
 	// Provenance carries the determination-provenance record when
-	// requested (QueryRequest.Provenance; nil when provenance is
-	// disabled). Also retrievable later via /debug/provenance/<trace_id>.
+	// requested (QueryRequest.Provenance). Also retrievable later via
+	// /debug/provenance/<trace_id> while the trace ring retains it.
 	Provenance *prov.Record `json:"provenance,omitempty"`
 }
 
@@ -555,8 +559,8 @@ type cachedResult struct {
 	createdAt time.Time
 	// query/fp/limit/columns reconstruct the request that filled the
 	// entry, so the self-auditor can re-execute it; prov is the
-	// fill-time determination-provenance record (nil when provenance is
-	// disabled). All immutable after construction.
+	// fill-time determination-provenance record (nil when observability
+	// is off). All immutable after construction.
 	query   string
 	fp      string
 	limit   int
@@ -593,8 +597,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, badRequest("bad request body: %v", err))
+	if err := decodeBody(w, r, &req, false); err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	if req.Query == "" {
@@ -624,12 +628,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.res.recoveredPanics.Add(1)
 			tr.SetError(fmt.Sprintf("panic: %v", v))
 			s.obs.finishTrace(tr)
-			s.obs.events.Emit("panic", tr.ID, map[string]any{
+			s.obs.events.Emit("panic", tr.TraceID(), map[string]any{
 				"endpoint": "/query", "error": fmt.Sprintf("%v", v),
 			})
 			if rec, ok := w.(*statusRecorder); !ok || !rec.wrote {
 				writeJSON(w, http.StatusInternalServerError,
-					map[string]any{"error": fmt.Sprintf("internal panic: %v", v), "trace_id": tr.ID})
+					map[string]any{"error": fmt.Sprintf("internal panic: %v", v), "trace_id": tr.TraceID()})
 			}
 		}
 	}()
@@ -646,7 +650,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !req.NoCache && !req.Analyze && req.Kernel == nil {
 		if resp, ok := s.cachedByText(&req, limit, tr); ok {
 			resp.ElapsedUS = time.Since(t0).Microseconds()
-			resp.TraceID = tr.ID
+			resp.TraceID = tr.TraceID()
 			tr.Annot("served", "result_cache_fast_path")
 			s.obs.finishTrace(tr)
 			s.obs.query.Observe(time.Since(t0))
@@ -665,7 +669,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		tr.SetError(err.Error())
 		s.obs.finishTrace(tr)
-		s.writeErrTrace(w, err, tr.ID)
+		s.writeErrTrace(w, err, tr.TraceID())
 		return
 	}
 	resp, meta, err := s.runQuery(ctx, &req, limit, tr)
@@ -674,15 +678,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tr.SetError(err.Error())
 		s.obs.finishTrace(tr)
 		s.noteQuery(tr, &req, nil, meta, time.Since(t0), err)
-		s.writeErrTrace(w, err, tr.ID)
+		s.writeErrTrace(w, err, tr.TraceID())
 		return
 	}
 	resp.ElapsedUS = time.Since(t0).Microseconds()
-	resp.TraceID = tr.ID
+	resp.TraceID = tr.TraceID()
 	if req.Analyze {
 		_, kecho, _ := req.kernelConfig()
 		resp.Analyze = &AnalyzeInfo{
-			TraceID:  tr.ID,
+			TraceID:  tr.TraceID(),
 			TotalUS:  resp.ElapsedUS,
 			PhasesUS: phasesOf(tr),
 			Kernel:   kecho,
@@ -836,10 +840,10 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 	// smaller truncated sample (see exec.Options.Limit). Aggregates and
 	// other non-listing shapes run to completion.
 	//
-	// Kernel counters are collected whenever the workload profiler is on
-	// (the default), not just for Analyze requests: the per-fingerprint
-	// registry and relation heat map aggregate them. The collection cost
-	// is bounded by the same <3% CI gate as EXPLAIN ANALYZE.
+	// Kernel counters are collected whenever observability is on (always,
+	// outside the overhead gate's baseline), not just for Analyze
+	// requests: the per-fingerprint registry and relation heat map
+	// aggregate them. The whole stack's cost is bounded by the <3% gate.
 	collect := req.Analyze || s.workload != nil
 	kcfg, _, kerr := req.kernelConfig()
 	if kerr != nil {
@@ -927,7 +931,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 }
 
 // annotReadSet records the query's read set and the epochs it executed
-// against — the slow-query log carries them so a stale-cache or
+// against — slow_query events carry them so a stale-cache or
 // epoch-churn incident can be diagnosed from the log alone.
 func annotReadSet(tr *trace.Trace, reads []string, relEpochs []uint64, dictEpoch uint64) {
 	if tr == nil || len(reads) == 0 {
@@ -1131,8 +1135,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, badRequest("bad request body: %v", err))
+	if err := decodeBody(w, r, &req, false); err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	// Explain does the same parse + GHD-compile work as a query miss, so
@@ -1180,8 +1184,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LoadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, badRequest("bad request body: %v", err))
+	if err := decodeBody(w, r, &req, false); err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	if req.Name == "" {
@@ -1296,8 +1300,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, badRequest("bad request body: %v", err))
+	if err := decodeBody(w, r, &req, false); err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	if req.Name == "" {
@@ -1330,7 +1334,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !s.brk.allow() {
 		tr.SetError(errDegraded.Error())
 		s.obs.finishTrace(tr)
-		s.writeErrTrace(w, errDegraded, tr.ID)
+		s.writeErrTrace(w, errDegraded, tr.TraceID())
 		return
 	}
 	// Mini-trie builds and the merged-view install are bounded by the
@@ -1341,7 +1345,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		tr.SetError(err.Error())
 		s.obs.finishTrace(tr)
-		s.writeErrTrace(w, err, tr.ID)
+		s.writeErrTrace(w, err, tr.TraceID())
 		return
 	}
 	res, err := s.eng.UpdateTraced(b, tr)
@@ -1354,10 +1358,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			// a server-side, retryable failure — not a bad request. Book
 			// it with the breaker; enough in a row trip read-only mode.
 			s.brk.failure()
-			s.writeErrTrace(w, err, tr.ID)
+			s.writeErrTrace(w, err, tr.TraceID())
 			return
 		}
-		s.writeErrTrace(w, badRequest("%v", err), tr.ID)
+		s.writeErrTrace(w, badRequest("%v", err), tr.TraceID())
 		return
 	}
 	s.brk.success()
@@ -1378,7 +1382,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		"deleted":      res.Deleted,
 		"cardinality":  res.Cardinality,
 		"overlay_rows": res.OverlayRows,
-		"trace_id":     tr.ID,
+		"trace_id":     tr.TraceID(),
 		"elapsed_us":   time.Since(t0).Microseconds(),
 	})
 }
@@ -1415,8 +1419,8 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CompactRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, badRequest("bad request body: %v", err))
+	if err := decodeBody(w, r, &req, false); err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	if req.Name == "" {
@@ -1468,8 +1472,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SnapshotRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeErr(w, badRequest("bad request body: %v", err))
+	if err := decodeBody(w, r, &req, true); err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	dir, err := s.snapshotDir(&req)
@@ -1510,8 +1514,8 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SnapshotRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeErr(w, badRequest("bad request body: %v", err))
+	if err := decodeBody(w, r, &req, true); err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	dir, err := s.snapshotDir(&req)
@@ -1562,12 +1566,12 @@ type Stats struct {
 	Admission   AdmissionStats           `json:"admission"`
 	Durability  core.DurabilityStats     `json:"durability"`
 	Resilience  ResilienceStats          `json:"resilience"`
-	// Workload summarizes the fingerprint registry (zero when workload
-	// stats are disabled); Events the unified event log.
+	// Workload summarizes the fingerprint registry; Events the unified
+	// event log.
 	Workload obs.WorkloadTotals `json:"workload"`
 	Events   obs.EventLogStats  `json:"events"`
-	// Provenance summarizes the determination-provenance ring and the
-	// result-cache auditor (zero-valued when provenance is disabled).
+	// Provenance summarizes the provenance records the trace ring
+	// retains and the result-cache auditor.
 	Provenance ProvenanceStats `json:"provenance"`
 }
 

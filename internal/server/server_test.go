@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -390,5 +392,33 @@ func TestLRUCacheEviction(t *testing.T) {
 	st := c.stats()
 	if st.Size != 2 || st.Evictions != 1 {
 		t.Errorf("stats: %+v", st)
+	}
+}
+
+// fill is an endless reader of one repeated byte.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyIs413: every POST endpoint that decodes a body stops
+// reading at maxBodyBytes and answers 413, and the server keeps serving.
+func TestOversizedBodyIs413(t *testing.T) {
+	s, ts := newTestService(t, Config{})
+	h := s.Handler()
+	for _, path := range []string{"/query", "/explain", "/load", "/update", "/compact", "/snapshot", "/restore"} {
+		body := io.MultiReader(strings.NewReader(`{"name":"`), io.LimitReader(fill('a'), maxBodyBytes))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, body))
+		if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "request body over") {
+			t.Fatalf("%s: status %d, body %.200s", path, w.Code, w.Body.String())
+		}
+	}
+	if qr := runQuery(t, ts.URL, triangleQ); qr.Scalar == nil {
+		t.Fatalf("server stopped answering after oversized bodies: %+v", qr)
 	}
 }

@@ -96,7 +96,7 @@ func (s *Server) handleDebugWorkload(w http.ResponseWriter, r *http.Request) {
 		n = parsed
 	}
 	// Each fingerprint row links the provenance record of its last
-	// observed execution (when the ring still retains it) — one click
+	// observed request (while the trace ring retains it) — one click
 	// from "this query is hot" to "this is the lineage it last ran on".
 	type workloadRow struct {
 		obs.FingerprintStats
@@ -106,7 +106,7 @@ func (s *Server) handleDebugWorkload(w http.ResponseWriter, r *http.Request) {
 	rows := make([]workloadRow, len(top))
 	for i, fs := range top {
 		rows[i] = workloadRow{FingerprintStats: fs}
-		rows[i].Provenance, _ = s.prov.Get(fs.LastTraceID)
+		rows[i].Provenance, _ = s.provOf(fs.LastTraceID)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"totals":       s.workload.Totals(),
@@ -123,7 +123,7 @@ type relationHeatRow struct {
 	// delta-overlay merged view (pending streaming updates).
 	HasOverlay bool `json:"has_overlay"`
 	// Heat carries the workload counters; nil when the relation has
-	// never been read or updated since boot (or stats are disabled).
+	// never been read or updated since boot (or observability is off).
 	Heat *obs.RelationHeat `json:"heat,omitempty"`
 	// LayoutProfile is the per-level physical layout mix the adaptive
 	// layout optimizer chose for the relation's canonical trie (sets and
@@ -191,7 +191,7 @@ type resultCacheEntry struct {
 	// cell plus annotations).
 	ApproxBytes int64 `json:"approx_bytes"`
 	// Provenance is the record of the execution that filled the entry
-	// (nil when provenance is disabled).
+	// (nil when observability is off).
 	Provenance *prov.Record `json:"provenance,omitempty"`
 }
 

@@ -1,8 +1,11 @@
 // Package trace is a lightweight span recorder for query-lifecycle
 // observability. A Trace is a flat list of named spans (phase begin/end
-// with microsecond offsets from trace start) plus trace-level attributes;
-// a Recorder hands out traces with monotonically increasing IDs and keeps
-// a ring buffer of the last N completed ones for /debug/queries.
+// with microsecond offsets from trace start) plus trace-level attributes
+// and, for queries, the result's determination-provenance record; a
+// Recorder hands out traces with monotonically increasing IDs and keeps a
+// ring buffer of the last N completed ones. That ring is the one
+// per-request record store behind /debug/queries, /debug/trace,
+// /debug/provenance and /debug/diff.
 //
 // Every method is safe on a nil receiver: a nil *Recorder starts nil
 // *Traces, and all *Trace methods no-op on nil. Instrumentation sites can
@@ -15,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"emptyheaded/internal/prov"
 )
 
 // Attr is one key/value annotation on a trace or span.
@@ -48,9 +53,21 @@ type Trace struct {
 	Error       string    `json:"error,omitempty"`
 	Spans       []Span    `json:"spans"`
 	Attrs       []Attr    `json:"attrs,omitempty"`
+	// Provenance is the lineage that determined a query's result: set
+	// on executions and on cached serves (then the fill-time lineage
+	// with Cached: true); nil for other request kinds.
+	Provenance *prov.Record `json:"provenance,omitempty"`
 
 	mu  sync.Mutex
 	rec *Recorder
+}
+
+// TraceID returns the trace's ID, or 0 for a nil trace.
+func (t *Trace) TraceID() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.ID
 }
 
 // Begin opens a named span and returns its ID.
@@ -139,6 +156,16 @@ func (t *Trace) SetError(msg string) {
 	t.mu.Unlock()
 }
 
+// SetProvenance attaches the request's provenance record.
+func (t *Trace) SetProvenance(rec *prov.Record) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.Provenance = rec
+	t.mu.Unlock()
+}
+
 // SpansSnapshot returns a copy of the spans recorded so far.
 func (t *Trace) SpansSnapshot() []Span {
 	if t == nil {
@@ -149,22 +176,6 @@ func (t *Trace) SpansSnapshot() []Span {
 	copy(out, t.Spans)
 	t.mu.Unlock()
 	return out
-}
-
-// PhaseUS sums the duration of every closed span with the given name.
-func (t *Trace) PhaseUS(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	var total int64
-	t.mu.Lock()
-	for i := range t.Spans {
-		if t.Spans[i].Name == name && t.Spans[i].DurUS >= 0 {
-			total += t.Spans[i].DurUS
-		}
-	}
-	t.mu.Unlock()
-	return total
 }
 
 // Finish stamps the total duration, closes any still-open spans, and
@@ -199,10 +210,10 @@ type Recorder struct {
 	n    int // traces filed so far, saturating at len(ring)
 }
 
-// NewRecorder keeps the most recent n completed traces (default 128).
+// NewRecorder keeps the most recent n completed traces (default 256).
 func NewRecorder(n int) *Recorder {
 	if n <= 0 {
-		n = 128
+		n = 256
 	}
 	return &Recorder{ring: make([]*Trace, n)}
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"testing"
 	"time"
+
+	"emptyheaded/internal/prov"
 )
 
 func TestTraceSpansAndFinish(t *testing.T) {
@@ -24,10 +26,10 @@ func TestTraceSpansAndFinish(t *testing.T) {
 	if tr.TotalUS <= 0 {
 		t.Fatalf("TotalUS = %d", tr.TotalUS)
 	}
-	if got := tr.PhaseUS("plan"); got < 1000 {
+	spans := tr.SpansSnapshot()
+	if got := spans[sp].DurUS; got < 1000 {
 		t.Fatalf("plan phase = %dus, want >= 1000", got)
 	}
-	spans := tr.SpansSnapshot()
 	if len(spans) != 2 {
 		t.Fatalf("span count = %d", len(spans))
 	}
@@ -88,10 +90,59 @@ func TestNilSafety(t *testing.T) {
 	tr.SetFingerprint("fp")
 	tr.SetError("boom")
 	tr.Finish()
-	if tr.PhaseUS("x") != 0 || tr.SpansSnapshot() != nil {
+	if tr.TraceID() != 0 || tr.SpansSnapshot() != nil {
 		t.Fatal("nil trace leaked state")
 	}
 	if r.Completed(10) != nil {
 		t.Fatal("nil recorder Completed")
+	}
+}
+
+// TestRecordRingNilSafe: a disabled (nil) recorder is also a disabled
+// provenance ring — filing a record on its nil trace is a no-op and
+// nothing resolves by trace id.
+func TestRecordRingNilSafe(t *testing.T) {
+	var r *Recorder
+	tr := r.Start("query")
+	tr.SetProvenance(&prov.Record{TraceID: 1, Fingerprint: "fp"})
+	tr.Finish()
+	if tr.TraceID() != 0 {
+		t.Fatal("nil trace has an id")
+	}
+	if _, ok := r.Get(1); ok {
+		t.Fatal("nil recorder Get")
+	}
+	if r.Completed(5) != nil {
+		t.Fatal("nil recorder returned recent traces")
+	}
+}
+
+// TestRecorderKeepsProvenance: a query's provenance record is filed
+// with its trace, resolves by trace id while the ring retains the
+// trace, and is evicted with it.
+func TestRecorderKeepsProvenance(t *testing.T) {
+	r := NewRecorder(3)
+	var ids []uint64
+	for i := 0; i < 5; i++ {
+		tr := r.Start("query")
+		ids = append(ids, tr.ID)
+		tr.SetProvenance(&prov.Record{TraceID: tr.ID, Fingerprint: "fp", Cardinality: i})
+		tr.Finish()
+	}
+	upd := r.Start("update") // updates interleave without a record
+	upd.Finish()
+	for _, id := range ids[:3] {
+		if _, ok := r.Get(id); ok {
+			t.Fatalf("trace %d should have been evicted", id)
+		}
+	}
+	for i, id := range ids[3:] {
+		tr, ok := r.Get(id)
+		if !ok || tr.Provenance == nil || tr.Provenance.TraceID != id || tr.Provenance.Cardinality != 3+i {
+			t.Fatalf("trace %d: %+v, ok=%v", id, tr, ok)
+		}
+	}
+	if got, _ := r.Get(upd.ID); got.Provenance != nil {
+		t.Fatalf("update trace carries a record: %+v", got.Provenance)
 	}
 }
