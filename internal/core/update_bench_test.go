@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"emptyheaded/internal/datalog"
+	"emptyheaded/internal/gate"
 	"emptyheaded/internal/gen"
 	"emptyheaded/internal/wal"
 )
@@ -190,23 +191,21 @@ func TestOverlayQueryOverheadGate(t *testing.T) {
 		t.Fatalf("overlay listing %d triangles, compacted %d", got, wantCard)
 	}
 
-	best := func(eng *Engine) time.Duration {
-		bestD := time.Duration(1<<62 - 1)
-		for i := 0; i < 5; i++ {
+	timed := func(eng *Engine) func() time.Duration {
+		return func() time.Duration {
 			t0 := time.Now()
 			runTriangleListing(t, eng)
-			if d := time.Since(t0); d < bestD {
-				bestD = d
-			}
+			return time.Since(t0)
 		}
-		return bestD
 	}
-	// Interleave measurement order to decorrelate machine noise.
-	compacted := best(compactEng)
-	overlay := best(overlayEng)
-	t.Logf("triangle listing: compacted %v, 1%% overlay %v (+%.1f%%)",
-		compacted, overlay, 100*(float64(overlay)/float64(compacted)-1))
-	if float64(overlay) > 1.25*float64(compacted) {
-		t.Fatalf("overlay listing %v regresses ≥25%% vs compacted %v", overlay, compacted)
+	g := gate.Timing{
+		Rounds:   5,
+		Attempts: 1,
+		Base:     timed(compactEng),
+		Cand:     timed(overlayEng),
+		Logf:     func(f string, args ...any) { t.Logf("triangle listing, 1%% overlay vs compacted: "+f, args...) },
+	}
+	if o := g.Overhead(0.25); o > 0.25 {
+		t.Fatalf("overlay listing regresses %.1f%% (≥25%%) vs compacted", o*100)
 	}
 }

@@ -1,10 +1,10 @@
-// Package gate is the shared timing harness of the env-gated performance
-// tests (EH_ANALYZE_GATE, EH_KERNEL_GATE, EH_OBS_GATE). A gate compares a
-// baseline against a candidate by interleaving their runs — so drift in
-// machine speed hits both sides alike — and scoring each side's fastest
-// run. Shared CI boxes jitter by several percent, so an attempt that
-// misses the threshold is repeated: a real regression fails every
-// attempt, noise does not.
+// Package gate is the shared timing harness of the performance gates
+// (EH_ANALYZE_GATE, EH_KERNEL_GATE, EH_OBS_GATE and core's overlay <25%
+// gate). A gate compares a baseline against a candidate by interleaving
+// their runs — so drift in machine speed hits both sides alike — and
+// scoring each side's fastest run. Shared CI boxes jitter by several
+// percent, so an attempt that misses the threshold can be repeated: a
+// real regression fails every attempt, noise does not.
 package gate
 
 import (

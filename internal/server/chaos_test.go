@@ -150,6 +150,28 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestPanicAfterAdmissionReleasesSlot: a panic while a request holds its
+// worker slot still gives the slot back. With one worker, the query after
+// a panicking cache fill is admitted instead of shed behind a leaked slot.
+func TestPanicAfterAdmissionReleasesSlot(t *testing.T) {
+	s, ts := newTestService(t, Config{Workers: 1, QueueWait: 100 * time.Millisecond})
+	in := fault.New(35, fault.Rule{Point: "server.cache.stamp", Kind: fault.PanicKind, OnCall: 1})
+	restore := fault.Enable(in)
+	defer restore()
+	code, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: triangleQ}, nil)
+	if code != http.StatusInternalServerError || !strings.Contains(body, `"trace_id":`) {
+		t.Fatalf("panicking cache fill: %d %s (%s)", code, body, in)
+	}
+	// no_cache skips the fill, so the armed rule stays quiet.
+	var qr QueryResponse
+	if code, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: triangleQ, NoCache: true}, &qr); code != http.StatusOK || qr.Scalar == nil {
+		t.Fatalf("query after the panic: %d %s", code, body)
+	}
+	if a := s.StatsSnapshot().Admission.Active; a != 0 {
+		t.Fatalf("admission.active = %d after both requests finished", a)
+	}
+}
+
 // TestClientCancellationFreesSlot: a dropped client releases its worker
 // slot promptly — with a single worker, a follow-up query is admitted
 // and served instead of queue-timing out behind a zombie.

@@ -197,7 +197,11 @@ func TestKillAndRestartDurability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := refSrv.runQuery(context.Background(), &QueryRequest{Query: q, Limit: 10000}, 10000, nil)
+		qa, err := refSrv.resolveQuery(&QueryRequest{Query: q, Limit: 10000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := refSrv.runQuery(context.Background(), qa, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

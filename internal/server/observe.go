@@ -141,14 +141,6 @@ type AnalyzeInfo struct {
 	Kernel string `json:"kernel,omitempty"`
 }
 
-// analyzeData carries the execution-side analyze payload out of
-// runQuery (the phase timings are stamped by the handler, which owns
-// the request clock).
-type analyzeData struct {
-	plan string
-	bags []*exec.BagStats
-}
-
 // traceSummary is one row of /debug/queries.
 type traceSummary struct {
 	ID          uint64 `json:"id"`

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"emptyheaded/internal/core"
@@ -182,5 +187,46 @@ func TestColumnarWireShape(t *testing.T) {
 	postJSON(t, base+"/query", map[string]any{"query": q, "limit": 200, "columns": true}, &again)
 	if !again.ResultCached {
 		t.Fatal("columnar response not served from cache on repeat")
+	}
+}
+
+// TestLoadRacingRestoreNever500s: /load and /restore run concurrently
+// while the restored snapshot lacks the loaded relation. A restore may
+// replace the relation between the load's install and its reply (the
+// load then answers 409), but no response is a 500.
+func TestLoadRacingRestoreNever500s(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 2})
+	dir := t.TempDir()
+	if code, body := postJSON(t, ts.URL+"/snapshot", SnapshotRequest{Dir: dir}, nil); code != http.StatusOK {
+		t.Fatalf("/snapshot: %d %s", code, body)
+	}
+	post := func(path, body string) (int, string) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0, err.Error()
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	const rounds = 200
+	var wg sync.WaitGroup
+	errs := make(chan string, 2*rounds)
+	run := func(path, body string, ok ...int) {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			code, resp := post(path, body)
+			if !slices.Contains(ok, code) {
+				errs <- fmt.Sprintf("%s: %d %s", path, code, resp)
+			}
+		}
+	}
+	wg.Add(2)
+	go run("/load", `{"name":"L","arity":2,"tuples":[[1,2],[2,3]]}`, http.StatusOK, http.StatusConflict)
+	go run("/restore", fmt.Sprintf(`{"dir":%q}`, dir), http.StatusOK)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -193,16 +194,15 @@ func (s *Server) maybeSampleAudit(key string) {
 func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bool, error) {
 	s.audit.checks.Add(1)
 	tr := s.rec.Start("audit")
-	req := &QueryRequest{Query: cr.query, Limit: cr.limit, NoCache: true, Columns: cr.columns}
-	release, err := s.adm.acquire(ctx)
-	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
-		s.audit.errors.Add(1)
-		return false, err
+	q := &queryArgs{
+		QueryRequest: &QueryRequest{Query: cr.query, Limit: cr.limit, NoCache: true, Columns: cr.columns},
+		limit:        cr.limit,
 	}
-	resp, _, err := s.runQuery(ctx, req, cr.limit, tr)
-	release()
+	var resp QueryResponse
+	err := s.admitted(ctx, nil, func() (err error) {
+		resp, _, err = s.runQuery(ctx, q, tr)
+		return err
+	})
 	if err != nil {
 		tr.SetError(err.Error())
 		s.obs.finishTrace(tr)
@@ -240,45 +240,12 @@ func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bo
 // executions client spellings), as are per-request fields (trace id,
 // elapsed, cache flags).
 func respContentEqual(a, b *QueryResponse) bool {
-	if a.Cardinality != b.Cardinality || a.Truncated != b.Truncated {
-		return false
-	}
-	if (a.Scalar == nil) != (b.Scalar == nil) {
-		return false
-	}
-	if a.Scalar != nil && *a.Scalar != *b.Scalar {
-		return false
-	}
-	if !rowsEqual(a.Tuples, b.Tuples) || !rowsEqual(a.Columns, b.Columns) {
-		return false
-	}
-	if len(a.Anns) != len(b.Anns) {
-		return false
-	}
-	for i := range a.Anns {
-		if a.Anns[i] != b.Anns[i] {
-			return false
-		}
-	}
-	return true
+	return a.Cardinality == b.Cardinality && a.Truncated == b.Truncated &&
+		(a.Scalar == nil) == (b.Scalar == nil) && (a.Scalar == nil || *a.Scalar == *b.Scalar) &&
+		rowsEqual(a.Tuples, b.Tuples) && rowsEqual(a.Columns, b.Columns) && slices.Equal(a.Anns, b.Anns)
 }
 
-func rowsEqual(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
+func rowsEqual(a, b [][]int64) bool { return slices.EqualFunc(a, b, slices.Equal[[]int64]) }
 
 // handleDebugProvenance serves the records the trace ring retains:
 // /debug/provenance lists recent ones (?n=, default 50) with occupancy
@@ -362,8 +329,7 @@ func (s *Server) handleDebugDiff(w http.ResponseWriter, r *http.Request) {
 // fail their freshness check are skipped (the normal epoch vector
 // handles them); the sweep exists to catch entries whose stamp lies.
 func (s *Server) handleDebugAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
+	if !s.requirePost(w, r) {
 		return
 	}
 	t0 := time.Now()

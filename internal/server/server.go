@@ -5,7 +5,7 @@
 // codegen across runs), a result cache invalidated on relation mutation,
 // and a bounded worker-pool admission controller.
 //
-// Endpoints:
+// Endpoints (routes is the one table of them):
 //
 //	POST /query     {"query": "...", "limit": 100}        run a datalog program
 //	POST /explain   {"query": "..."}                      render the physical plan
@@ -18,6 +18,15 @@
 //	GET  /stats                                           per-endpoint latency + cache counters
 //	GET  /metrics                                         the same counters in Prometheus text format
 //	GET  /healthz                                         liveness
+//	GET  /readyz                                          readiness: boot phase, degraded mode
+//	GET  /debug/queries?n=50                              recently finished request traces
+//	GET  /debug/trace/<id>                                one request's trace and provenance record
+//	GET  /debug/workload?sort=count&n=20                  per-fingerprint workload registry
+//	GET  /debug/relations                                 catalog joined with relation heat
+//	GET  /debug/cache                                     plan- and result-cache entries
+//	GET  /debug/provenance[/<id>]                         retained provenance records
+//	GET  /debug/diff?a=<id>&b=<id>                        lineage drift between two executions
+//	POST /debug/audit                                     re-execute and compare every cached result
 package server
 
 import (
@@ -219,17 +228,13 @@ func New(eng *core.Engine, cfg Config) *Server {
 		adm:     newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait),
 		start:   time.Now(),
 		obs:     newObservability(cfg),
-		endpoints: map[string]*latencyWindow{
-			"/query":     newLatencyWindow(),
-			"/explain":   newLatencyWindow(),
-			"/relations": newLatencyWindow(),
-			"/load":      newLatencyWindow(),
-			"/update":    newLatencyWindow(),
-			"/compact":   newLatencyWindow(),
-			"/snapshot":  newLatencyWindow(),
-			"/restore":   newLatencyWindow(),
-			"/stats":     newLatencyWindow(),
-		},
+
+		endpoints: make(map[string]*latencyWindow),
+	}
+	for _, rt := range s.routes() {
+		if rt.timed {
+			s.endpoints[rt.path] = newLatencyWindow()
+		}
 	}
 	if !cfg.observabilityOff {
 		s.rec = trace.NewRecorder(cfg.TraceRing)
@@ -268,42 +273,66 @@ func New(eng *core.Engine, cfg Config) *Server {
 // probe loop). The HTTP listener is owned by the caller.
 func (s *Server) Close() { s.brk.close() }
 
+// route is one served path. Timed routes get a /stats latency window
+// and run inside instrument's panic boundary.
+type route struct {
+	path  string
+	timed bool
+	h     http.HandlerFunc
+}
+
+// routes is the service's route table: Handler builds the mux from it
+// and New the per-endpoint latency windows.
+func (s *Server) routes() []route {
+	return []route{
+		{"/query", true, post(s, false, s.serveQuery)},
+		{"/explain", true, post(s, false, s.serveExplain)},
+		{"/relations", true, s.handleRelations},
+		{"/load", true, post(s, false, s.serveLoad)},
+		{"/update", true, post(s, false, s.serveUpdate)},
+		{"/compact", true, post(s, false, s.serveCompact)},
+		{"/snapshot", true, post(s, true, s.snapshotOp(s.snapshot))},
+		{"/restore", true, post(s, true, s.snapshotOp(s.restore))},
+		{"/stats", true, s.handleStats},
+		{"/metrics", false, s.handleMetrics},
+		{"/debug/queries", false, s.handleDebugQueries},
+		{"/debug/trace/", false, s.handleDebugTrace},
+		{"/debug/workload", false, s.handleDebugWorkload},
+		{"/debug/relations", false, s.handleDebugRelations},
+		{"/debug/cache", false, s.handleDebugCache},
+		{"/debug/provenance", false, s.handleDebugProvenance},
+		{"/debug/provenance/", false, s.handleDebugProvenance},
+		{"/debug/diff", false, s.handleDebugDiff},
+		{"/debug/audit", false, s.handleDebugAudit},
+		{"/healthz", false, func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		}},
+		{"/readyz", false, s.handleReady},
+	}
+}
+
 // Handler returns the service's HTTP mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.instrument("/query", s.handleQuery))
-	mux.HandleFunc("/explain", s.instrument("/explain", s.handleExplain))
-	mux.HandleFunc("/relations", s.instrument("/relations", s.handleRelations))
-	mux.HandleFunc("/load", s.instrument("/load", s.handleLoad))
-	mux.HandleFunc("/update", s.instrument("/update", s.handleUpdate))
-	mux.HandleFunc("/compact", s.instrument("/compact", s.handleCompact))
-	mux.HandleFunc("/snapshot", s.instrument("/snapshot", s.handleSnapshot))
-	mux.HandleFunc("/restore", s.instrument("/restore", s.handleRestore))
-	mux.HandleFunc("/stats", s.instrument("/stats", s.handleStats))
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/queries", s.handleDebugQueries)
-	mux.HandleFunc("/debug/trace/", s.handleDebugTrace)
-	mux.HandleFunc("/debug/workload", s.handleDebugWorkload)
-	mux.HandleFunc("/debug/relations", s.handleDebugRelations)
-	mux.HandleFunc("/debug/cache", s.handleDebugCache)
-	mux.HandleFunc("/debug/provenance", s.handleDebugProvenance)
-	mux.HandleFunc("/debug/provenance/", s.handleDebugProvenance)
-	mux.HandleFunc("/debug/diff", s.handleDebugDiff)
-	mux.HandleFunc("/debug/audit", s.handleDebugAudit)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("/readyz", s.handleReady)
+	for _, rt := range s.routes() {
+		h := rt.h
+		if rt.timed {
+			h = s.instrument(rt.path, h)
+		}
+		mux.HandleFunc(rt.path, h)
+	}
 	return mux
 }
 
-// statusRecorder captures the response code for error accounting and
-// whether anything was written (so panic recovery knows if a 500 can
-// still go out).
+// statusRecorder captures the response code for error accounting,
+// whether anything was written (so the panic boundary knows if a 500 can
+// still go out), and the request's trace once the handler starts one, so
+// error responses and the panic boundary carry its id.
 type statusRecorder struct {
 	http.ResponseWriter
 	code  int
 	wrote bool
+	tr    *trace.Trace
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -317,29 +346,104 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
+// traceOf returns the request trace filed on w (nil when there is none).
+func traceOf(w http.ResponseWriter) *trace.Trace {
+	if rec, ok := w.(*statusRecorder); ok {
+		return rec.tr
+	}
+	return nil
+}
+
+// startTrace begins a request trace of the given kind and files it on
+// w's recorder.
+func (s *Server) startTrace(w http.ResponseWriter, kind string) *trace.Trace {
+	tr := s.rec.Start(kind)
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.tr = tr
+	}
+	return tr
+}
+
+// instrument wraps a timed route: its latency window, and the service's
+// one panic boundary. A handler panic becomes a 500 carrying the
+// request's trace id, the trace is filed with the panic as its error,
+// and the server keeps serving; a held worker slot is released by
+// admitted as the panic unwinds.
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	lw := s.endpoints[path]
 	return func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		t0 := time.Now()
-		// Panic isolation, outer boundary: a handler panic becomes a
-		// 500 and the server keeps serving. (Query/update handlers also
-		// recover closer in, to attach the trace ID.)
 		defer func() {
 			if v := recover(); v != nil {
 				s.res.recoveredPanics.Add(1)
-				s.obs.events.Emit("panic", 0, map[string]any{
+				rec.tr.SetError(fmt.Sprintf("panic: %v", v))
+				s.obs.finishTrace(rec.tr)
+				s.obs.events.Emit("panic", rec.tr.TraceID(), map[string]any{
 					"endpoint": path, "error": fmt.Sprintf("%v", v),
 				})
 				if !rec.wrote {
-					writeJSON(rec, http.StatusInternalServerError,
-						map[string]string{"error": fmt.Sprintf("internal panic: %v", v)})
+					s.writeErr(rec, &httpError{http.StatusInternalServerError, fmt.Sprintf("internal panic: %v", v)})
 				}
 			}
 			lw.observe(time.Since(t0), rec.code >= 400)
 		}()
 		h(rec, r)
 	}
+}
+
+// post is the request path every POST endpoint shares: method check,
+// body decode into a T (allowEmpty: an empty body is the zero T), then
+// serve, which validates the request, does its work (the heavy part
+// under admitted) and returns the 200 body or an error. A trace serve
+// started is finished here, with the error if any; the error renders
+// through errStatus.
+func post[T any](s *Server, allowEmpty bool, serve func(http.ResponseWriter, *http.Request, *T) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.requirePost(w, r) {
+			return
+		}
+		var req T
+		if err := decodeBody(w, r, &req, allowEmpty); err != nil {
+			s.writeErr(w, err)
+			return
+		}
+		body, err := serve(w, r, &req)
+		tr := traceOf(w)
+		if err != nil {
+			tr.SetError(err.Error())
+		}
+		s.obs.finishTrace(tr)
+		if err != nil {
+			s.writeErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, body)
+	}
+}
+
+// requirePost answers anything but a POST with 405.
+func (s *Server) requirePost(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodPost {
+		return true
+	}
+	s.writeErr(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
+	return false
+}
+
+// admitted runs fn holding a worker slot: the pool bounds every heavy
+// step (parsing and GHD compilation, execution, loads, updates,
+// snapshots). The slot is released however fn ends, a panic included. A
+// non-nil tr records the wait as its admission span.
+func (s *Server) admitted(ctx context.Context, tr *trace.Trace, fn func() error) error {
+	sp := tr.Begin("admission")
+	release, err := s.adm.acquire(ctx)
+	tr.End(sp)
+	if err != nil {
+		return err
+	}
+	defer release()
+	return fn()
 }
 
 type httpError struct {
@@ -351,6 +455,17 @@ func (e *httpError) Error() string { return e.msg }
 
 func badRequest(format string, args ...any) *httpError {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+}
+
+// missing is the 400 for a request without its required field.
+func missing(field string) error { return badRequest("missing %q", field) }
+
+// asBadRequest maps a non-nil engine error to a 400.
+func asBadRequest(err error) error {
+	if err == nil {
+		return nil
+	}
+	return badRequest("%v", err)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -420,22 +535,18 @@ func (s *Server) errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
+// writeErr renders err with its mapped status; shed responses (503)
+// carry the Retry-After hint that defines the client side of the
+// failure contract, and the request's trace id, once it has one, rides
+// along so a failed request can be pulled from /debug/trace/<id>.
 func (s *Server) writeErr(w http.ResponseWriter, err error) {
-	s.writeErrTrace(w, err, 0)
-}
-
-// writeErrTrace renders err with its mapped status; shed responses
-// (503) carry the Retry-After hint that defines the client side of the
-// failure contract, and a non-zero trace ID rides along so a failed
-// request can be pulled from /debug/trace/<id>.
-func (s *Server) writeErrTrace(w http.ResponseWriter, err error, traceID uint64) {
 	code := s.errStatus(err)
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", s.retryAfterValue())
 	}
 	body := map[string]any{"error": err.Error()}
-	if traceID != 0 {
-		body["trace_id"] = traceID
+	if id := traceOf(w).TraceID(); id != 0 {
+		body["trace_id"] = id
 	}
 	writeJSON(w, code, body)
 }
@@ -496,17 +607,44 @@ type KernelHint struct {
 	Algo string `json:"algo"`
 }
 
-// kernelConfig resolves the request's kernel hint to an exec override
-// (nil when no hint was sent) plus its echo string for AnalyzeInfo.
-func (req *QueryRequest) kernelConfig() (*set.Config, string, error) {
-	if req.Kernel == nil {
-		return nil, "auto", nil
+// queryArgs is a validated /query request plus the settings it
+// derives, computed once per request.
+type queryArgs struct {
+	*QueryRequest
+	// limit is the effective response cap.
+	limit int
+	// cacheable: the request may be answered from the result cache.
+	// Analyze requests always execute (a cached serve has no counters to
+	// report), and so do kernel-hinted ones (the hint steers execution).
+	cacheable bool
+	// kernel is the hint's per-run override (nil when no hint was sent),
+	// kernelEcho its resolved name for AnalyzeInfo.
+	kernel     *set.Config
+	kernelEcho string
+}
+
+// resolveQuery validates a /query request and derives its settings.
+func (s *Server) resolveQuery(req *QueryRequest) (*queryArgs, error) {
+	if req.Query == "" {
+		return nil, missing("query")
 	}
-	algo, err := set.ParseAlgo(req.Kernel.Algo)
-	if err != nil {
-		return nil, "", err
+	q := &queryArgs{
+		QueryRequest: req,
+		limit:        req.Limit,
+		cacheable:    !req.NoCache && !req.Analyze && req.Kernel == nil,
+		kernelEcho:   "auto",
 	}
-	return &set.Config{Algo: algo}, algo.String(), nil
+	if q.limit <= 0 {
+		q.limit = s.cfg.DefaultLimit
+	}
+	if req.Kernel != nil {
+		algo, err := set.ParseAlgo(req.Kernel.Algo)
+		if err != nil {
+			return nil, badRequest("%v", err)
+		}
+		q.kernel, q.kernelEcho = &set.Config{Algo: algo}, algo.String()
+	}
+	return q, nil
 }
 
 // QueryResponse is the /query reply.
@@ -591,26 +729,13 @@ func resultCacheKey(gen uint64, fp string, limit int, columns bool) string {
 	return fmt.Sprintf("g%d/%s/%d/c=%t", gen, fp, limit, columns)
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
-		return
-	}
-	var req QueryRequest
-	if err := decodeBody(w, r, &req, false); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if req.Query == "" {
-		s.writeErr(w, badRequest("missing \"query\""))
-		return
-	}
-	limit := req.Limit
-	if limit <= 0 {
-		limit = s.cfg.DefaultLimit
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req *QueryRequest) (any, error) {
+	q, err := s.resolveQuery(req)
+	if err != nil {
+		return nil, err
 	}
 	t0 := time.Now()
-	tr := s.rec.Start("query")
+	tr := s.startTrace(w, "query")
 
 	// The request context cancels on client disconnect; a configured
 	// query deadline shares the same cooperative-stop mechanism and
@@ -621,123 +746,89 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryDeadline)
 		defer cancel()
 	}
-	// Inner panic boundary: closer in than instrument's so the 500 can
-	// carry this request's trace ID.
-	defer func() {
-		if v := recover(); v != nil {
-			s.res.recoveredPanics.Add(1)
-			tr.SetError(fmt.Sprintf("panic: %v", v))
-			s.obs.finishTrace(tr)
-			s.obs.events.Emit("panic", tr.TraceID(), map[string]any{
-				"endpoint": "/query", "error": fmt.Sprintf("%v", v),
-			})
-			if rec, ok := w.(*statusRecorder); !ok || !rec.wrote {
-				writeJSON(w, http.StatusInternalServerError,
-					map[string]any{"error": fmt.Sprintf("internal panic: %v", v), "trace_id": tr.TraceID()})
-			}
-		}
-	}()
 
-	if _, _, err := req.kernelConfig(); err != nil {
-		s.writeErr(w, badRequest("%v", err))
-		return
-	}
 	// Fast path: an exact-text repeat whose result is cached is served
 	// without taking a worker slot — a map lookup shouldn't queue behind
-	// heavy joins. Analyze requests skip it (a cached serve has no
-	// counters to report); kernel-hinted requests too (the hint steers
-	// execution, so they must execute).
-	if !req.NoCache && !req.Analyze && req.Kernel == nil {
-		if resp, ok := s.cachedByText(&req, limit, tr); ok {
-			resp.ElapsedUS = time.Since(t0).Microseconds()
-			resp.TraceID = tr.TraceID()
-			tr.Annot("served", "result_cache_fast_path")
-			s.obs.finishTrace(tr)
-			s.obs.query.Observe(time.Since(t0))
-			s.noteQuery(tr, &req, &resp, &runMeta{route: obs.RouteResultHit}, time.Since(t0), nil)
-			writeJSON(w, http.StatusOK, resp)
-			return
+	// heavy joins. The alias layer resolves the text without parsing.
+	var resp QueryResponse
+	var meta *runMeta
+	if q.cacheable {
+		if av, ok := s.plans.aliases.peek(req.Query); ok {
+			alias := av.(*aliasEntry)
+			tr.SetFingerprint(alias.fp)
+			key := resultCacheKey(s.gen.Load(), alias.fp, q.limit, req.Columns)
+			if resp, ok = s.serveCached(q, s.eng.DB, key, alias, tr, true); ok {
+				tr.Annot("served", "result_cache_fast_path")
+				resp.PlanCached = true
+				meta = &runMeta{route: obs.RouteResultHit}
+			}
 		}
 	}
-
-	// The admission gate bounds all remaining per-query work — parsing
-	// and GHD compilation included, since on a cache miss the optimizer
-	// is the expensive step the plan cache exists to amortize.
-	sp := tr.Begin("admission")
-	release, err := s.adm.acquire(ctx)
-	tr.End(sp)
-	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
-		s.writeErrTrace(w, err, tr.TraceID())
-		return
+	if meta == nil {
+		// The admission gate bounds all remaining per-query work — parsing
+		// and GHD compilation included, since on a cache miss the optimizer
+		// is the expensive step the plan cache exists to amortize.
+		err = s.admitted(ctx, tr, func() (err error) {
+			resp, meta, err = s.runQuery(ctx, q, tr)
+			return err
+		})
 	}
-	resp, meta, err := s.runQuery(ctx, &req, limit, tr)
-	release()
-	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
-		s.noteQuery(tr, &req, nil, meta, time.Since(t0), err)
-		s.writeErrTrace(w, err, tr.TraceID())
-		return
+	elapsed := time.Since(t0)
+	if meta != nil { // nil only when admission refused the request
+		s.noteQuery(tr, req, &resp, meta, elapsed, err)
 	}
-	resp.ElapsedUS = time.Since(t0).Microseconds()
+	if err != nil {
+		return nil, err
+	}
+	resp.ElapsedUS = elapsed.Microseconds()
 	resp.TraceID = tr.TraceID()
-	if req.Analyze {
-		_, kecho, _ := req.kernelConfig()
-		resp.Analyze = &AnalyzeInfo{
-			TraceID:  tr.TraceID(),
-			TotalUS:  resp.ElapsedUS,
-			PhasesUS: phasesOf(tr),
-			Kernel:   kecho,
-		}
-		if meta != nil && meta.az != nil {
-			resp.Analyze.Plan = meta.az.plan
-			resp.Analyze.Bags = meta.az.bags
-		}
+	if az := meta.analyze; az != nil {
+		az.TraceID, az.TotalUS, az.PhasesUS = tr.TraceID(), resp.ElapsedUS, phasesOf(tr)
+		resp.Analyze = az
 	}
-	s.obs.finishTrace(tr)
-	s.obs.query.Observe(time.Since(t0))
-	s.noteQuery(tr, &req, &resp, meta, time.Since(t0), nil)
-	writeJSON(w, http.StatusOK, resp)
+	s.obs.query.Observe(elapsed)
+	return resp, nil
 }
 
-// cachedByText resolves an exact query text through the alias layer (no
-// parsing) and serves a fresh result-cache entry, re-labeled with this
-// spelling's attribute names. All lookups use peek so the full path's
-// accounting isn't double-booked when this misses.
-func (s *Server) cachedByText(req *QueryRequest, limit int, tr *trace.Trace) (QueryResponse, bool) {
-	av, ok := s.plans.aliases.peek(req.Query)
+// serveCached serves the result-cache entry under key if it is still
+// fresh against db, relabeled with this spelling's attribute names. Its
+// two callers differ only in accounting. The pre-admission exact-text
+// path (peek) looks up without booking, since a miss re-resolves on the
+// full path and booking both lookups would double-count; it books the
+// alias, plan and result hits when it serves. The full path books
+// through get and drops a stale entry.
+func (s *Server) serveCached(q *queryArgs, db *exec.DB, key string, alias *aliasEntry, tr *trace.Trace, peek bool) (QueryResponse, bool) {
+	lookup := s.results.get
+	if peek {
+		lookup = s.results.peek
+	}
+	v, ok := lookup(key)
 	if !ok {
 		return QueryResponse{}, false
 	}
-	alias := av.(*aliasEntry)
-	tr.SetFingerprint(alias.fp)
-	resultKey := resultCacheKey(s.gen.Load(), alias.fp, limit, req.Columns)
-	rv, ok := s.results.peek(resultKey)
-	if !ok {
+	cr := v.(*cachedResult)
+	if !cr.fresh(db) {
+		if !peek {
+			s.results.remove(key) // some read relation (or the dict) moved on
+		}
 		return QueryResponse{}, false
 	}
-	cr := rv.(*cachedResult)
-	if !cr.fresh(s.eng.DB) {
-		return QueryResponse{}, false
+	if peek {
+		// A fast-path serve is a plan-cache hit too: the cached plan's
+		// result is what made skipping execution possible.
+		s.plans.aliases.noteHit(q.Query)
+		s.plans.plans.noteHit(alias.fp)
+		s.results.noteHit(key)
 	}
 	s.obs.cacheAge.Observe(time.Since(cr.createdAt))
-	resp := cr.resp
+	s.noteHeatReads(db, cr.reads)
+	resp := cr.resp // copy; attrs re-labeled per spelling
 	resp.Attrs = mapAttrs(resp.Attrs, alias.canonToClient)
 	resp.ResultCached = true
-	resp.PlanCached = true
-	// peek skipped the accounting; book the served hits explicitly. A
-	// fast-path serve is a plan-cache hit too: the cached plan's result
-	// is what made skipping execution possible.
-	s.plans.aliases.noteHit(req.Query)
-	s.plans.plans.noteHit(alias.fp)
-	s.results.noteHit(resultKey)
-	s.noteHeatReads(s.eng.DB, cr.reads)
-	if rec := s.provOnServe(cr, tr); rec != nil && req.Provenance {
+	if rec := s.provOnServe(cr, tr); rec != nil && q.Provenance {
 		resp.Provenance = rec
 	}
-	s.maybeSampleAudit(resultKey)
+	s.maybeSampleAudit(key)
 	return resp, true
 }
 
@@ -763,19 +854,20 @@ func mapAttrs(attrs []string, m map[string]string) []string {
 // runMeta carries execution metadata out of runQuery for the workload
 // registry and the EXPLAIN ANALYZE payload: which cache route produced
 // the response, the run's kernel counters (when collected), and the
-// analyze rendering. The phase timings are stamped by the handler,
-// which owns the request clock.
+// analyze payload of an analyze request, whose trace id and phase
+// timings the handler stamps, since it owns the request clock.
 type runMeta struct {
 	// route is the cache route: obs.RouteResultHit / RoutePlanHit /
 	// RouteMiss.
-	route string
-	stats *exec.ExecStats
-	az    *analyzeData
+	route   string
+	stats   *exec.ExecStats
+	analyze *AnalyzeInfo
 }
 
 // runQuery executes one admitted /query request. ctx cancels execution
-// cooperatively (client disconnect, query deadline).
-func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr *trace.Trace) (QueryResponse, *runMeta, error) {
+// cooperatively (client disconnect, query deadline). The returned meta
+// is never nil.
+func (s *Server) runQuery(ctx context.Context, q *queryArgs, tr *trace.Trace) (QueryResponse, *runMeta, error) {
 	// Fork per request: the query runs against a consistent snapshot of
 	// relations + dictionary (a concurrent /load can't swap data mid
 	// query), and intermediate head relations stay session-local. The
@@ -784,44 +876,31 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 	// read before the fork: a restore between the two strands this
 	// request's cache fill under the old generation (harmless), never
 	// files a pre-restore result under the new one.
+	meta := &runMeta{route: obs.RouteMiss}
 	gen := s.gen.Load()
 	fork := s.eng.DB.Fork()
 	epoch := fork.Version()
 	sp := tr.Begin("plan")
-	entry, alias, planHit, err := s.prepared(req.Query, fork, epoch)
+	entry, alias, planHit, err := s.prepared(q.Query, fork, epoch)
 	if err != nil {
 		tr.End(sp)
-		return QueryResponse{}, nil, err
+		return QueryResponse{}, meta, err
 	}
 	tr.SetFingerprint(entry.fp)
 	relEpochs, dictEpoch := fork.EpochsWithDict(entry.reads)
 	annotReadSet(tr, entry.reads, relEpochs, dictEpoch)
-	meta := &runMeta{route: obs.RouteMiss}
 	if planHit {
 		meta.route = obs.RoutePlanHit
 	}
 
-	resultKey := resultCacheKey(gen, entry.fp, limit, req.Columns)
-	if !req.NoCache && !req.Analyze && req.Kernel == nil {
-		if v, ok := s.results.get(resultKey); ok {
-			cr := v.(*cachedResult)
-			if cr.fresh(fork) {
-				tr.End(sp)
-				tr.Annot("served", "result_cache")
-				s.obs.cacheAge.Observe(time.Since(cr.createdAt))
-				s.noteHeatReads(fork, cr.reads)
-				resp := cr.resp // copy; attrs re-labeled per spelling
-				resp.Attrs = mapAttrs(resp.Attrs, alias.canonToClient)
-				resp.ResultCached = true
-				resp.PlanCached = planHit
-				if rec := s.provOnServe(cr, tr); rec != nil && req.Provenance {
-					resp.Provenance = rec
-				}
-				s.maybeSampleAudit(resultKey)
-				meta.route = obs.RouteResultHit
-				return resp, meta, nil
-			}
-			s.results.remove(resultKey) // some read relation (or the dict) moved on
+	resultKey := resultCacheKey(gen, entry.fp, q.limit, q.Columns)
+	if q.cacheable {
+		if resp, ok := s.serveCached(q, fork, resultKey, alias, tr, false); ok {
+			tr.End(sp)
+			tr.Annot("served", "result_cache")
+			resp.PlanCached = planHit
+			meta.route = obs.RouteResultHit
+			return resp, meta, nil
 		}
 	}
 
@@ -844,13 +923,9 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 	// outside the overhead gate's baseline), not just for Analyze
 	// requests: the per-fingerprint registry and relation heat map
 	// aggregate them. The whole stack's cost is bounded by the <3% gate.
-	collect := req.Analyze || s.workload != nil
-	kcfg, _, kerr := req.kernelConfig()
-	if kerr != nil {
-		return QueryResponse{}, meta, badRequest("%v", kerr)
-	}
+	collect := q.Analyze || s.workload != nil
 	sp = tr.Begin("execute")
-	res, err := prep.RunWith(fork, exec.RunParams{Limit: limit + 1, Collect: collect, Trace: tr, Ctx: ctx, Kernel: kcfg})
+	res, err := prep.RunWith(fork, exec.RunParams{Limit: q.limit + 1, Collect: collect, Trace: tr, Ctx: ctx, Kernel: q.kernel})
 	tr.End(sp)
 	if err != nil {
 		if !errors.Is(err, exec.ErrTimeout) && !errors.Is(err, exec.ErrCanceled) &&
@@ -870,7 +945,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 	}
 
 	sp = tr.Begin("render")
-	resp := s.render(res, limit, fork.Dict(), req.Columns)
+	resp := s.render(res, q.limit, fork.Dict(), q.Columns)
 	tr.End(sp)
 	resp.Truncated = resp.Truncated || res.Truncated
 	resp.PlanCached = planHit
@@ -882,7 +957,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 	// run); it is recorded before the cache fill so the cached entry can
 	// carry it.
 	rec := s.noteProvenance(tr, entry.fp, gen, entry.reads, relEpochs, dictEpoch, resp.Cardinality)
-	if !req.NoCache && res.Trie.Cardinality() <= s.cfg.MaxCachedTuples {
+	if !q.NoCache && res.Trie.Cardinality() <= s.cfg.MaxCachedTuples {
 		// Analyze requests fill the cache too — with the plain response:
 		// trace and counters are per-request, not part of the result.
 		sp = tr.Begin("cache_fill")
@@ -909,22 +984,25 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 			dictEpoch: dictEpoch,
 			resp:      resp,
 			createdAt: time.Now(),
-			query:     req.Query,
+			query:     q.Query,
 			fp:        entry.fp,
-			limit:     limit,
-			columns:   req.Columns,
+			limit:     q.limit,
+			columns:   q.Columns,
 			prov:      rec,
 		})
 		tr.End(sp)
 	}
 	resp.Attrs = mapAttrs(resp.Attrs, alias.canonToClient)
-	if rec != nil && req.Provenance {
+	if rec != nil && q.Provenance {
 		resp.Provenance = rec
 	}
-	if req.Analyze && res.Stats != nil {
-		meta.az = &analyzeData{bags: res.Stats.Bags}
-		if res.Plan != nil {
-			meta.az.plan = res.Plan.ExplainAnalyze(res.Stats)
+	if q.Analyze {
+		meta.analyze = &AnalyzeInfo{Kernel: q.kernelEcho}
+		if res.Stats != nil {
+			meta.analyze.Bags = res.Stats.Bags
+			if res.Plan != nil {
+				meta.analyze.Plan = res.Plan.ExplainAnalyze(res.Stats)
+			}
 		}
 	}
 	return resp, meta, nil
@@ -1129,30 +1207,15 @@ type ExplainRequest struct {
 	Query string `json:"query"`
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
-		return
-	}
-	var req ExplainRequest
-	if err := decodeBody(w, r, &req, false); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	// Explain does the same parse + GHD-compile work as a query miss, so
-	// it shares the admission gate.
-	release, err := s.adm.acquire(r.Context())
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	plan, err := s.eng.Explain(req.Query)
-	release()
-	if err != nil {
-		s.writeErr(w, badRequest("%v", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"plan": plan})
+// serveExplain does the same parse + GHD-compile work as a query miss,
+// so it shares the admission gate.
+func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, req *ExplainRequest) (any, error) {
+	var plan string
+	err := s.admitted(r.Context(), nil, func() (err error) {
+		plan, err = s.eng.Explain(req.Query)
+		return asBadRequest(err)
+	})
+	return map[string]string{"plan": plan}, err
 }
 
 func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
@@ -1178,46 +1241,33 @@ type LoadRequest struct {
 	Op         string     `json:"op,omitempty"`
 }
 
-func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
-		return
-	}
-	var req LoadRequest
-	if err := decodeBody(w, r, &req, false); err != nil {
-		s.writeErr(w, err)
-		return
-	}
+func (s *Server) serveLoad(w http.ResponseWriter, r *http.Request, req *LoadRequest) (any, error) {
 	if req.Name == "" {
-		s.writeErr(w, badRequest("missing \"name\""))
-		return
+		return nil, missing("name")
 	}
 	t0 := time.Now()
 	// Graph parsing and trie construction are heavy; bound them by the
 	// same worker pool as queries.
-	release, err := s.adm.acquire(r.Context())
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	err = s.load(&req)
-	release()
-	if err != nil {
-		s.writeErr(w, err)
-		return
+	if err := s.admitted(r.Context(), nil, func() error { return s.load(req) }); err != nil {
+		return nil, err
 	}
 	// No cache purge: result-cache entries carry the per-relation epochs
 	// of their read sets, so entries that read req.Name (or that decode
 	// through a dictionary this load replaced) invalidate lazily on their
 	// next lookup, while unrelated queries keep serving from cache.
 	// Plan-cache entries recompile lazily via the version check.
-	rel, _ := s.eng.DB.Relation(req.Name)
-	writeJSON(w, http.StatusOK, map[string]any{
+	rel, ok := s.eng.DB.Relation(req.Name)
+	if !ok {
+		// A /restore installed a snapshot without the relation between
+		// the load and this read.
+		return nil, &httpError{http.StatusConflict, "relation replaced by a concurrent /restore"}
+	}
+	return map[string]any{
 		"name":        req.Name,
 		"arity":       rel.Arity,
 		"cardinality": rel.Cardinality(),
 		"elapsed_us":  time.Since(t0).Microseconds(),
-	})
+	}, nil
 }
 
 func (s *Server) load(req *LoadRequest) error {
@@ -1250,10 +1300,7 @@ func (s *Server) load(req *LoadRequest) error {
 		if err != nil {
 			return badRequest("%v", err)
 		}
-		if err := s.eng.AddAnnotatedRelation(req.Name, req.Arity, op, req.Tuples, req.Anns); err != nil {
-			return badRequest("%v", err)
-		}
-		return nil
+		return asBadRequest(s.eng.AddAnnotatedRelation(req.Name, req.Arity, op, req.Tuples, req.Anns))
 	case req.Columns != nil:
 		if req.Arity > 0 && req.Arity != len(req.Columns) {
 			return badRequest("%d columns do not match arity %d", len(req.Columns), req.Arity)
@@ -1265,10 +1312,7 @@ func (s *Server) load(req *LoadRequest) error {
 				return badRequest("%v", err)
 			}
 		}
-		if err := s.eng.AddRelationColumns(req.Name, req.Columns, req.Anns, op); err != nil {
-			return badRequest("%v", err)
-		}
-		return nil
+		return asBadRequest(s.eng.AddRelationColumns(req.Name, req.Columns, req.Anns, op))
 	}
 	return badRequest("one of \"path\", \"edges\", \"tuples\" or \"columns\" required")
 }
@@ -1289,80 +1333,54 @@ type UpdateRequest struct {
 	Op            string     `json:"op,omitempty"`
 }
 
-// handleUpdate applies one streaming update batch: journaled in the WAL
+// serveUpdate applies one streaming update batch: journaled in the WAL
 // (when the server runs with one) before it applies, visible to queries
 // through the relation's delta overlay immediately after. Only the
 // updated relation's epoch advances, so cached results of queries that
 // never read it survive.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
-		return
-	}
-	var req UpdateRequest
-	if err := decodeBody(w, r, &req, false); err != nil {
-		s.writeErr(w, err)
-		return
-	}
+func (s *Server) serveUpdate(w http.ResponseWriter, r *http.Request, req *UpdateRequest) (any, error) {
 	if req.Name == "" {
-		s.writeErr(w, badRequest("missing \"name\""))
-		return
+		return nil, missing("name")
 	}
 	b := core.UpdateBatch{Rel: req.Name, InsAnns: req.Anns}
 	if req.Op != "" {
 		op, err := semiring.ParseOp(req.Op)
 		if err != nil {
-			s.writeErr(w, badRequest("%v", err))
-			return
+			return nil, badRequest("%v", err)
 		}
 		b.Op = op
 	}
 	var err error
 	if b.InsCols, err = updateCols(req.Inserts, req.InsertColumns, "insert"); err != nil {
-		s.writeErr(w, err)
-		return
+		return nil, err
 	}
 	if b.DelCols, err = updateCols(req.Deletes, req.DeleteColumns, "delete"); err != nil {
-		s.writeErr(w, err)
-		return
+		return nil, err
 	}
 	t0 := time.Now()
-	tr := s.rec.Start("update")
+	tr := s.startTrace(w, "update")
 	tr.Annot("relation", req.Name)
 	// Degraded read-only mode fails writes fast — before admission, so a
 	// broken disk doesn't let updates queue behind healthy queries.
 	if !s.brk.allow() {
-		tr.SetError(errDegraded.Error())
-		s.obs.finishTrace(tr)
-		s.writeErrTrace(w, errDegraded, tr.TraceID())
-		return
+		return nil, errDegraded
 	}
 	// Mini-trie builds and the merged-view install are bounded by the
 	// same worker pool as queries and loads.
-	sp := tr.Begin("admission")
-	release, err := s.adm.acquire(r.Context())
-	tr.End(sp)
-	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
-		s.writeErrTrace(w, err, tr.TraceID())
-		return
-	}
-	res, err := s.eng.UpdateTraced(b, tr)
-	release()
-	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
+	var res core.UpdateResult
+	err = s.admitted(r.Context(), tr, func() (err error) {
+		res, err = s.eng.UpdateTraced(b, tr)
 		if errors.Is(err, core.ErrDurability) {
 			// The WAL could not persist the batch (disk full, I/O error):
 			// a server-side, retryable failure — not a bad request. Book
 			// it with the breaker; enough in a row trip read-only mode.
 			s.brk.failure()
-			s.writeErrTrace(w, err, tr.TraceID())
-			return
+			return err
 		}
-		s.writeErrTrace(w, badRequest("%v", err), tr.TraceID())
-		return
+		return asBadRequest(err)
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.brk.success()
 	arity := len(b.InsCols)
@@ -1373,9 +1391,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// Bytes are estimated from the columnar payload (4-byte codes per
 	// cell); annotation floats aren't counted.
 	s.heat.NoteUpdate(res.Rel, rows, rows*int64(arity)*4)
-	s.obs.finishTrace(tr)
 	s.obs.update.Observe(time.Since(t0))
-	writeJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"name":         res.Rel,
 		"seq":          res.Seq,
 		"inserted":     res.Inserted,
@@ -1384,7 +1401,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		"overlay_rows": res.OverlayRows,
 		"trace_id":     tr.TraceID(),
 		"elapsed_us":   time.Since(t0).Microseconds(),
-	})
+	}, nil
 }
 
 // updateCols normalizes one side of an update request to columns.
@@ -1410,40 +1427,24 @@ type CompactRequest struct {
 	Name string `json:"name"`
 }
 
-// handleCompact folds the named relation's overlay into a fresh base
+// serveCompact folds the named relation's overlay into a fresh base
 // trie (a no-op when the overlay is empty or a background compaction is
 // already running).
-func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
-		return
-	}
-	var req CompactRequest
-	if err := decodeBody(w, r, &req, false); err != nil {
-		s.writeErr(w, err)
-		return
-	}
+func (s *Server) serveCompact(w http.ResponseWriter, r *http.Request, req *CompactRequest) (any, error) {
 	if req.Name == "" {
-		s.writeErr(w, badRequest("missing \"name\""))
-		return
+		return nil, missing("name")
 	}
 	t0 := time.Now()
-	release, err := s.adm.acquire(r.Context())
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	did, err := s.eng.Compact(req.Name)
-	release()
-	if err != nil {
-		s.writeErr(w, badRequest("%v", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	var did bool
+	err := s.admitted(r.Context(), nil, func() (err error) {
+		did, err = s.eng.Compact(req.Name)
+		return asBadRequest(err)
+	})
+	return map[string]any{
 		"name":       req.Name,
 		"compacted":  did,
 		"elapsed_us": time.Since(t0).Microseconds(),
-	})
+	}, err
 }
 
 // SnapshotRequest is the /snapshot and /restore body; Dir falls back to
@@ -1452,107 +1453,65 @@ type SnapshotRequest struct {
 	Dir string `json:"dir,omitempty"`
 }
 
-func (s *Server) snapshotDir(req *SnapshotRequest) (string, error) {
-	if req.Dir != "" {
-		return req.Dir, nil
+// snapshotOp serves /snapshot and /restore: resolve the directory, run
+// op on it under admission (a whole-database write or install is as
+// heavy as any query), and reply with the catalog it produced.
+func (s *Server) snapshotOp(op func(dir string) (*storage.Catalog, error)) func(http.ResponseWriter, *http.Request, *SnapshotRequest) (any, error) {
+	return func(w http.ResponseWriter, r *http.Request, req *SnapshotRequest) (any, error) {
+		dir := req.Dir
+		if dir == "" {
+			dir = s.cfg.DataDir
+		}
+		if dir == "" {
+			return nil, badRequest("no \"dir\" in request and no -data-dir configured")
+		}
+		t0 := time.Now()
+		var cat *storage.Catalog
+		if err := s.admitted(r.Context(), nil, func() (err error) {
+			cat, err = op(dir)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		return map[string]any{
+			"dir":        dir,
+			"relations":  len(cat.Relations),
+			"tuples":     cat.CardinalityTotal(),
+			"bytes":      cat.BytesTotal(),
+			"elapsed_us": time.Since(t0).Microseconds(),
+		}, nil
 	}
-	if s.cfg.DataDir != "" {
-		return s.cfg.DataDir, nil
-	}
-	return "", badRequest("no \"dir\" in request and no -data-dir configured")
 }
 
-// handleSnapshot persists the whole database as a binary snapshot
-// (POST /snapshot {"dir": "..."}). The snapshot is taken from a fork, so
-// concurrent queries and loads proceed; the write itself is bounded by
-// the admission gate like any other heavy operation.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
-		return
-	}
-	var req SnapshotRequest
-	if err := decodeBody(w, r, &req, true); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	dir, err := s.snapshotDir(&req)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	t0 := time.Now()
-	release, err := s.adm.acquire(r.Context())
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
+// snapshot persists the whole database as a binary snapshot. It is taken
+// from a fork, so concurrent queries and loads proceed.
+func (s *Server) snapshot(dir string) (*storage.Catalog, error) {
 	cat, err := s.eng.Snapshot(dir)
-	release()
 	if err != nil {
-		s.writeErr(w, fmt.Errorf("snapshot: %w", err))
-		return
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dir":        dir,
-		"relations":  len(cat.Relations),
-		"tuples":     cat.CardinalityTotal(),
-		"bytes":      cat.BytesTotal(),
-		"elapsed_us": time.Since(t0).Microseconds(),
-	})
+	return cat, nil
 }
 
-// handleRestore atomically replaces the database from a snapshot
-// directory (POST /restore {"dir": "..."}): in-flight queries finish on
-// their forks of the old database, new requests see the restored one.
-// The result cache is purged wholesale — snapshot epochs come from
-// another database generation and are not comparable with the entries'
-// stamps.
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
-		return
-	}
-	var req SnapshotRequest
-	if err := decodeBody(w, r, &req, true); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	dir, err := s.snapshotDir(&req)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	t0 := time.Now()
-	release, err := s.adm.acquire(r.Context())
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
+// restore atomically replaces the database from a snapshot directory:
+// in-flight queries finish on their forks of the old database, new
+// requests see the restored one. The result cache is purged wholesale —
+// snapshot epochs come from another database generation and are not
+// comparable with the entries' stamps.
+func (s *Server) restore(dir string) (*storage.Catalog, error) {
 	cat, err := s.eng.Restore(dir)
-	if err == nil {
-		// New generation first (strands in-flight cache fills), then drop
-		// the old generation's entries wholesale.
-		s.gen.Add(1)
-		s.results.purge()
-	}
-	release()
 	if err != nil {
 		var ce *storage.CorruptionError
 		if errors.As(err, &ce) {
-			s.writeErr(w, &httpError{http.StatusConflict, err.Error()})
-			return
+			return nil, &httpError{http.StatusConflict, err.Error()}
 		}
-		s.writeErr(w, badRequest("restore: %v", err))
-		return
+		return nil, badRequest("restore: %v", err)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dir":        dir,
-		"relations":  len(cat.Relations),
-		"tuples":     cat.CardinalityTotal(),
-		"bytes":      cat.BytesTotal(),
-		"elapsed_us": time.Since(t0).Microseconds(),
-	})
+	// New generation first (strands in-flight cache fills), then drop
+	// the old generation's entries wholesale.
+	s.gen.Add(1)
+	s.results.purge()
+	return cat, nil
 }
 
 // Stats is the /stats reply.

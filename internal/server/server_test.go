@@ -405,20 +405,78 @@ func (f fill) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestOversizedBodyIs413: every POST endpoint that decodes a body stops
-// reading at maxBodyBytes and answers 413, and the server keeps serving.
+// TestOversizedBodyIs413 pins the error contract every POST endpoint
+// shares: a wrong method is 405, a malformed body 400, a missing
+// required field 400 with its message, a body over maxBodyBytes 413,
+// and a valid request that cannot get a worker slot 503 with
+// Retry-After. The server keeps serving afterwards.
 func TestOversizedBodyIs413(t *testing.T) {
-	s, ts := newTestService(t, Config{})
+	s, ts := newTestService(t, Config{Workers: 1, QueueWait: 20 * time.Millisecond})
 	h := s.Handler()
-	for _, path := range []string{"/query", "/explain", "/load", "/update", "/compact", "/snapshot", "/restore"} {
-		body := io.MultiReader(strings.NewReader(`{"name":"`), io.LimitReader(fill('a'), maxBodyBytes))
+	do := func(method, path string, body io.Reader) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, body))
-		if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "request body over") {
-			t.Fatalf("%s: status %d, body %.200s", path, w.Code, w.Body.String())
+		h.ServeHTTP(w, httptest.NewRequest(method, path, body))
+		return w
+	}
+	errOf := func(w *httptest.ResponseRecorder) string {
+		var e struct{ Error string }
+		_ = json.Unmarshal(w.Body.Bytes(), &e)
+		return e.Error
+	}
+	dir := t.TempDir()
+	for _, ep := range []struct {
+		path string
+		// valid is a well-formed request body; nil for /debug/audit,
+		// which reads none.
+		valid any
+		// missing is the 400 message for "{}" ("" when no field is
+		// required).
+		missing string
+	}{
+		{"/query", QueryRequest{Query: triangleQ, NoCache: true}, `missing "query"`},
+		{"/explain", ExplainRequest{Query: triangleQ}, ""},
+		{"/load", LoadRequest{Name: "L", Edges: [][2]int64{{1, 2}}}, `missing "name"`},
+		{"/update", UpdateRequest{Name: "Edge", Inserts: [][]uint32{{1, 2}}}, `missing "name"`},
+		{"/compact", CompactRequest{Name: "Edge"}, `missing "name"`},
+		{"/snapshot", SnapshotRequest{Dir: dir}, ""},
+		{"/restore", SnapshotRequest{Dir: dir}, ""},
+		{"/debug/audit", nil, ""},
+	} {
+		if w := do(http.MethodGet, ep.path, nil); w.Code != http.StatusMethodNotAllowed || errOf(w) != "POST required" {
+			t.Fatalf("GET %s: status %d, body %s", ep.path, w.Code, w.Body.String())
+		}
+		if ep.valid == nil {
+			continue
+		}
+		if w := do(http.MethodPost, ep.path, strings.NewReader("{")); w.Code != http.StatusBadRequest {
+			t.Fatalf("%s with body {: status %d, body %s", ep.path, w.Code, w.Body.String())
+		}
+		if ep.missing != "" {
+			if w := do(http.MethodPost, ep.path, strings.NewReader("{}")); w.Code != http.StatusBadRequest || errOf(w) != ep.missing {
+				t.Fatalf("%s with body {}: status %d, body %s", ep.path, w.Code, w.Body.String())
+			}
+		}
+		body := io.MultiReader(strings.NewReader(`{"name":"`), io.LimitReader(fill('a'), maxBodyBytes))
+		if w := do(http.MethodPost, ep.path, body); w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "request body over") {
+			t.Fatalf("%s: status %d, body %.200s", ep.path, w.Code, w.Body.String())
+		}
+		// Hold the only worker slot: the valid request is shed.
+		release, err := s.adm.acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid, err := json.Marshal(ep.valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := do(http.MethodPost, ep.path, bytes.NewReader(valid))
+		release()
+		if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
+			t.Fatalf("%s while the slot is held: status %d, Retry-After %q, body %s",
+				ep.path, w.Code, w.Header().Get("Retry-After"), w.Body.String())
 		}
 	}
 	if qr := runQuery(t, ts.URL, triangleQ); qr.Scalar == nil {
-		t.Fatalf("server stopped answering after oversized bodies: %+v", qr)
+		t.Fatalf("server stopped answering after rejected requests: %+v", qr)
 	}
 }
